@@ -135,19 +135,12 @@ class AcceptabilityGraph:
     edges: tuple[tuple[AgentId, AgentId], ...]
 
     @cached_property
-    def edge_set(self) -> frozenset[tuple[AgentId, AgentId]]:
-        return frozenset(self.edges)
-
-    @cached_property
     def neighbors(self) -> dict[AgentId, tuple[AgentId, ...]]:
         adj: dict[AgentId, list[AgentId]] = {v: [] for v in self.vertices}
         for a, b in self.edges:
             adj[a].append(b)
             adj[b].append(a)
         return {v: tuple(sorted(ns)) for v, ns in adj.items()}
-
-    def has_edge(self, x: AgentId, y: AgentId) -> bool:
-        return (min(x, y), max(x, y)) in self.edge_set
 
 
 @dataclass(frozen=True)

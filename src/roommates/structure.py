@@ -5,14 +5,20 @@ worst-restrictedness.
 The ``is_*_wrt`` checks verify a property against a supplied axis; the
 ``find_*_order`` functions search for such an axis exhaustively and are
 meant for small instances only.
+
+Every crossing check reads a voter's view of a pair through one primitive,
+:func:`_voter_relations`, and judges a pair's collapsed runs by one rule,
+``_CROSSING_RUNS``.  The axis checks stream voters along the axis and keep
+one run string per pair, which costs O(n^3) time and O(n^2) memory on
+complete profiles.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections import defaultdict
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import permutations
+from itertools import combinations, permutations
 
 from .errors import TieGroupTooLarge, TiesUnsupported, TooManyAgents
 from .model import AgentId, PreferenceOrder, Profile
@@ -31,10 +37,6 @@ class WitnessOrder:
         if len(set(seq)) != len(seq):
             raise ValueError("a witness order must not repeat agents")
         object.__setattr__(self, "sequence", seq)
-
-    @cached_property
-    def positions(self) -> dict[AgentId, int]:
-        return {a: p for p, a in enumerate(self.sequence)}
 
     def reversed(self) -> "WitnessOrder":
         return WitnessOrder(self.sequence[::-1])
@@ -171,38 +173,75 @@ def _first_valley_witness(
 
 _A, _T, _B = "A", "T", "B"
 
+# Collapsed run strings a pair may show along a crossing axis: the
+# subsequences of A,T,B and of B,T,A.  Without ties only A and B occur, and
+# the set then admits exactly the sequences of at most two runs.
+_CROSSING_RUNS = frozenset(
+    {"", "A", "T", "B", "AT", "AB", "TA", "TB", "BT", "BA", "ATB", "BTA"}
+)
 
-def _pair_relations(
+
+def _voter_relations(
+    order: PreferenceOrder,
+) -> Iterator[tuple[tuple[AgentId, AgentId], str]]:
+    """Yield ((x, y), rel) for each pair x < y the voter ranks.
+
+    rel is A when x is strictly better, B when y is, and T on a tie.
+    """
+    ranks = order.ranks
+    members = sorted(ranks)
+    for idx, x in enumerate(members):
+        rx = ranks[x]
+        for y in members[idx + 1 :]:
+            ry = ranks[y]
+            yield (x, y), _A if rx < ry else _B if rx > ry else _T
+
+
+def _first_crossing_violation(
     profile: Profile, pos: dict[AgentId, int]
-) -> dict[tuple[AgentId, AgentId], list[str]]:
-    """For each co-ranked agent pair, the relation per voter in axis order."""
-    relations: dict[tuple[AgentId, AgentId], list[tuple[int, str]]] = {}
-    for v, order in profile.orders.items():
-        ranks = order.ranks
-        members = sorted(ranks)
-        p = pos[v]
-        for idx, x in enumerate(members):
-            rx = ranks[x]
-            for y in members[idx + 1 :]:
-                ry = ranks[y]
-                rel = _A if rx < ry else _B if rx > ry else _T
-                relations.setdefault((x, y), []).append((p, rel))
-    return {
-        pair: [rel for _, rel in sorted(seq)] for pair, seq in relations.items()
-    }
+) -> tuple[AgentId, AgentId] | None:
+    """Smallest pair whose collapsed runs leave _CROSSING_RUNS, or None.
+
+    Streams voters along the axis and keeps one run string per pair, so
+    memory stays at O(n^2) on complete profiles.  Every voter is read even
+    after a violation, since a smaller pair may fail further along.
+    """
+    runs: defaultdict[tuple[AgentId, AgentId], str] = defaultdict(str)
+    violated: set[tuple[AgentId, AgentId]] = set()
+    for v in sorted(profile.orders, key=pos.__getitem__):
+        for pair, rel in _voter_relations(profile.orders[v]):
+            seen = runs[pair]
+            if seen[-1:] == rel:
+                continue
+            seen += rel
+            if seen in _CROSSING_RUNS:
+                runs[pair] = seen
+            else:
+                violated.add(pair)
+    return min(violated, default=None)
 
 
-def _collapse(rels: list[str]) -> list[str]:
-    runs = []
-    for r in rels:
-        if not runs or runs[-1] != r:
-            runs.append(r)
-    return runs
+def _extend_runs(runs, rels, trail: list) -> bool:
+    """Append each (key, rel) of ``rels`` to the run string ``runs[key]``.
+
+    Records every change on ``trail`` and stops with False at the first
+    string that would leave _CROSSING_RUNS; :func:`_undo_runs` rolls back.
+    """
+    for key, rel in rels:
+        seen = runs[key]
+        if seen[-1:] == rel:
+            continue
+        extended = seen + rel
+        if extended not in _CROSSING_RUNS:
+            return False
+        trail.append((key, seen))
+        runs[key] = extended
+    return True
 
 
-def _is_subsequence(runs: list[str], pattern: str) -> bool:
-    it = iter(pattern)
-    return all(r in it for r in runs)
+def _undo_runs(runs, trail: list) -> None:
+    for key, old in reversed(trail):
+        runs[key] = old
 
 
 def is_tssc_wrt(profile: Profile, order: OrderLike) -> Verdict:
@@ -214,13 +253,8 @@ def is_tssc_wrt(profile: Profile, order: OrderLike) -> Verdict:
     unconstrained.  On failure the verdict carries the first violating pair
     in (min, max) order.
     """
-    pos = _order_positions(profile, order)
-    relations = _pair_relations(profile, pos)
-    for pair in sorted(relations):
-        runs = _collapse(relations[pair])
-        if not (_is_subsequence(runs, "ATB") or _is_subsequence(runs, "BTA")):
-            return Verdict(False, pair)
-    return Verdict(True)
+    pair = _first_crossing_violation(profile, _order_positions(profile, order))
+    return Verdict(True) if pair is None else Verdict(False, pair)
 
 
 def is_trivially_crossing(profile: Profile) -> Verdict:
@@ -236,28 +270,13 @@ def is_trivially_crossing(profile: Profile) -> Verdict:
     by_pair: dict[tuple[AgentId, AgentId], set[str]] = {}
     counts: dict[tuple[AgentId, AgentId], int] = {}
     for order in profile.orders.values():
-        ranks = order.ranks
-        members = sorted(ranks)
-        for idx, x in enumerate(members):
-            rx = ranks[x]
-            for y in members[idx + 1 :]:
-                ry = ranks[y]
-                rel = _A if rx < ry else _B if rx > ry else _T
-                by_pair.setdefault((x, y), set()).add(rel)
-                counts[(x, y)] = counts.get((x, y), 0) + 1
+        for pair, rel in _voter_relations(order):
+            by_pair.setdefault(pair, set()).add(rel)
+            counts[pair] = counts.get(pair, 0) + 1
     for pair in sorted(by_pair):
         if len(by_pair[pair]) > 1 and counts[pair] > 2:
             return Verdict(False, pair)
     return Verdict(True)
-
-
-def _strict_crossing_ok(profile: Profile, pos: dict[AgentId, int]) -> bool:
-    """Single-crossing test for a profile without ties."""
-    for rels in _pair_relations(profile, pos).values():
-        runs = _collapse(rels)
-        if len(runs) > 2:
-            return False
-    return True
 
 
 def break_ties_fixed(profile: Profile, tiebreak: OrderLike) -> Profile:
@@ -290,9 +309,9 @@ def is_sc_wrt(
     """
     pos = _order_positions(profile, order)
     if not has_ties(profile):
-        return _strict_crossing_ok(profile, pos)
+        return _first_crossing_violation(profile, pos) is None
     tiebroken = break_ties_fixed(profile, WitnessOrder(sorted(profile.agent_set)))
-    if _strict_crossing_ok(tiebroken, pos):
+    if _first_crossing_violation(tiebroken, pos) is None:
         return True
     for i in sorted(profile.orders):
         for group in profile.orders[i].groups:
@@ -304,90 +323,51 @@ def is_sc_wrt(
 def _sc_exact(profile: Profile, pos: dict[AgentId, int]) -> bool:
     """Exact single-crossing decision by backtracking over tie resolutions.
 
-    Voters are processed along the axis; each maintains per-pair run states
-    ((first, last) relation of the collapsed sequence), and a tie group's
-    permutations are only explored as far as the states admit.  Exponential
-    in the worst case — callers go through :func:`is_sc_wrt`, which guards
-    group sizes and handles the common cases cheaply.
+    Voters are processed along the axis; each pair keeps its collapsed run
+    string, and a tie group's permutations are only explored as far as
+    those strings stay in _CROSSING_RUNS.  Exponential in the worst case —
+    callers go through :func:`is_sc_wrt`, which guards group sizes and
+    handles the common cases cheaply.
     """
     voters = sorted(profile.orders, key=pos.__getitem__)
-    states: dict[tuple[AgentId, AgentId], tuple[str, str]] = {}
+    runs: defaultdict[tuple[AgentId, AgentId], str] = defaultdict(str)
+    # Backtracking revisits voters, so each one's strict relations are
+    # listed once, on its first visit.
+    strict: dict[int, list[tuple[tuple[AgentId, AgentId], str]]] = {}
 
-    def apply_rel(x: AgentId, y: AgentId, rel: str, trail: list) -> bool:
-        pair = (x, y) if x < y else (y, x)
-        if y < x:
-            rel = _A if rel == _B else _B
-        state = states.get(pair)
-        if state is None:
-            trail.append((pair, None))
-            states[pair] = (rel, rel)
-            return True
-        first, last = state
-        if rel == last:
-            return True
-        if first != last:
-            return False  # a third run would appear
-        trail.append((pair, state))
-        states[pair] = (first, rel)
-        return True
-
-    def undo(trail: list) -> None:
-        for pair, old in reversed(trail):
-            if old is None:
-                del states[pair]
-            else:
-                states[pair] = old
-
-    def place_groups(v: AgentId, groups: tuple[frozenset[AgentId], ...], g: int) -> bool:
+    def place_groups(groups: tuple[frozenset[AgentId], ...], g: int, k: int) -> bool:
         if g == len(groups):
-            return next_voter_step()
+            return next_voter_step(k + 1)
         group = sorted(groups[g])
         if len(group) == 1:
-            return place_groups(v, groups, g + 1)
+            return place_groups(groups, g + 1, k)
         for perm in permutations(group):
+            rels = [
+                ((a, b), _A) if a < b else ((b, a), _B)
+                for a, b in combinations(perm, 2)
+            ]
             trail: list = []
-            ok = True
-            for a_idx in range(len(perm)):
-                for b_idx in range(a_idx + 1, len(perm)):
-                    if not apply_rel(perm[a_idx], perm[b_idx], _A, trail):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok and place_groups(v, groups, g + 1):
+            if _extend_runs(runs, rels, trail) and place_groups(groups, g + 1, k):
                 return True
-            undo(trail)
+            _undo_runs(runs, trail)
         return False
 
-    remaining = list(voters)
-
-    def next_voter_step() -> bool:
-        if not remaining:
+    def next_voter_step(k: int) -> bool:
+        if k == len(voters):
             return True
-        v = remaining.pop(0)
-        order = profile.orders[v]
-        ranks = order.ranks
-        members = sorted(ranks)
+        order = profile.orders[voters[k]]
+        rels = strict.get(k)
+        if rels is None:
+            rels = strict[k] = [
+                (pair, rel) for pair, rel in _voter_relations(order) if rel != _T
+            ]
         trail: list = []
-        ok = True
-        for idx, x in enumerate(members):
-            rx = ranks[x]
-            for y in members[idx + 1 :]:
-                ry = ranks[y]
-                if rx == ry:
-                    continue  # resolved by the group permutations below
-                if not apply_rel(x, y, _A if rx < ry else _B, trail):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok and place_groups(v, order.groups, 0):
+        if _extend_runs(runs, rels, trail) and place_groups(order.groups, 0, k):
             return True
-        undo(trail)
-        remaining.insert(0, v)
+        _undo_runs(runs, trail)
         return False
 
-    return next_voter_step()
+    return next_voter_step(0)
 
 
 # ---------------------------------------------------------------------------
@@ -490,53 +470,22 @@ def find_tssc_order(
     # Pair constraints: voters of each co-ranked pair with their relations.
     by_pair: dict[tuple[AgentId, AgentId], dict[AgentId, str]] = {}
     for v, order in profile.orders.items():
-        ranks = order.ranks
-        members = sorted(ranks)
-        for idx, x in enumerate(members):
-            rx = ranks[x]
-            for y in members[idx + 1 :]:
-                ry = ranks[y]
-                rel = _A if rx < ry else _B if rx > ry else _T
-                by_pair.setdefault((x, y), {})[v] = rel
+        for pair, rel in _voter_relations(order):
+            by_pair.setdefault(pair, {})[v] = rel
     # Pairs where every participating voter agrees can never fail.
     pair_rel: list[dict[AgentId, str]] = [
         votes for votes in by_pair.values() if len(set(votes.values())) > 1
     ]
-    voter_pairs: dict[AgentId, list[int]] = {a: [] for a in agents}
+    voter_rels: dict[AgentId, list[tuple[int, str]]] = {a: [] for a in agents}
     for p_idx, votes in enumerate(pair_rel):
-        for v in votes:
-            voter_pairs[v].append(p_idx)
+        for v, rel in votes.items():
+            voter_rels[v].append((p_idx, rel))
 
-    # Per-pair state: the collapsed run list seen so far.  A placement is
-    # admissible while every such list stays a subsequence of A,T,B or of
-    # B,T,A — so at most three runs, with a third only as strict/tie/strict.
-    state: list[tuple[str, ...]] = [()] * len(pair_rel)
+    # Per-pair state: the collapsed run string seen so far.  A placement is
+    # admissible while every string stays in _CROSSING_RUNS.
+    state: list[str] = [""] * len(pair_rel)
     prefix_order: list[AgentId] = []
-
-    def try_place(v: AgentId) -> list | None:
-        trail = []
-        for p_idx in voter_pairs[v]:
-            rel = pair_rel[p_idx][v]
-            runs = state[p_idx]
-            if runs and runs[-1] == rel:
-                continue
-            extendable = (
-                len(runs) < 2
-                or (len(runs) == 2 and runs[0] != _T and runs[1] == _T and rel != runs[0])
-            )
-            if not extendable:
-                for idx, old in reversed(trail):
-                    state[idx] = old
-                return None
-            trail.append((p_idx, runs))
-            state[p_idx] = runs + (rel,)
-        return trail
-
-    def undo(trail: list) -> None:
-        for idx, old in reversed(trail):
-            state[idx] = old
-
-    free = {a for a in agents if not voter_pairs[a]}
+    free = {a for a in agents if not voter_rels[a]}
 
     def search(placed: set[AgentId]) -> bool:
         if len(placed) == len(agents):
@@ -552,16 +501,15 @@ def find_tssc_order(
                 placed.discard(v)
                 prefix_order.pop()
                 return False
-            trail = try_place(v)
-            if trail is None:
-                continue
-            prefix_order.append(v)
-            placed.add(v)
-            if search(placed):
-                return True
-            placed.discard(v)
-            prefix_order.pop()
-            undo(trail)
+            trail: list = []
+            if _extend_runs(state, voter_rels[v], trail):
+                prefix_order.append(v)
+                placed.add(v)
+                if search(placed):
+                    return True
+                placed.discard(v)
+                prefix_order.pop()
+            _undo_runs(state, trail)
         return False
 
     if search(set()):

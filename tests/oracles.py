@@ -214,6 +214,15 @@ def tssc_by_definition(profile: Profile, order_seq) -> bool:
     return True
 
 
+def first_tssc_violation_by_definition(profile: Profile, order_seq):
+    """Smallest pair (x, y), x < y, whose word breaks the block rule, or None."""
+    tables = rank_tables(profile)
+    for x, y in itertools.combinations(profile.agents, 2):
+        if not _BLOCK_WORD.fullmatch(_pair_word(tables, order_seq, x, y)):
+            return (x, y)
+    return None
+
+
 def worst_restricted_by_definition(profile: Profile) -> bool:
     """Sen's worst-restriction, triple by triple, for tie-free profiles.
 

@@ -319,3 +319,30 @@ def test_missing_file_is_a_plain_error(workdir):
     result = run("check", "nowhere.prof", cwd=workdir)
     assert result.returncode == 2
     assert result.stderr.startswith("error: FileNotFoundError:")
+
+
+def test_unexpected_exceptions_exit_two_with_one_line(monkeypatch, capsys):
+    from roommates import cli
+
+    def boom(args):
+        raise RuntimeError("kaboom")
+
+    monkeypatch.setattr(cli, "_cmd_check", boom)
+    assert cli.main(["check", "any.prof"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: InternalError: RuntimeError: kaboom\n"
+
+
+def test_brute_solve_on_a_long_path_never_exits_one(tmp_path):
+    # pref i: i | i+1 | i-1 obviously has a stable matching; a crash in the
+    # search must not read as "no stable matching".
+    n = 2400
+    lines = [f"agents {n}"]
+    for i in range(n):
+        ranked = [i] + [j for j in (i + 1, i - 1) if 0 <= j < n]
+        lines.append(f"pref {i}: " + " | ".join(map(str, ranked)))
+    (tmp_path / "path.prof").write_text("\n".join(lines) + "\n")
+    result = run("solve", "--algorithm", "brute", "path.prof", cwd=tmp_path)
+    assert result.returncode in (0, 2)
+    assert "Traceback" not in result.stderr

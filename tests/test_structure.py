@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -32,6 +33,7 @@ from roommates import (
 )
 
 from oracles import (
+    first_tssc_violation_by_definition,
     first_valley_witness,
     random_complete_profile,
     random_profile,
@@ -159,7 +161,34 @@ def test_tssc_matches_the_definition_on_random_profiles():
         profile = random_profile(rng, rng.randint(2, 6), p_tie=0.3)
         order = list(profile.agents)
         rng.shuffle(order)
-        assert bool(is_tssc_wrt(profile, order)) == tssc_by_definition(profile, order)
+        verdict = is_tssc_wrt(profile, order)
+        assert bool(verdict) == tssc_by_definition(profile, order)
+        assert verdict.witness == first_tssc_violation_by_definition(profile, order)
+
+
+def test_tssc_memory_grows_with_the_pairs_not_the_voter_pair_table():
+    # The axis scan keeps one run string per pair: Theta(n^2) memory on a
+    # complete profile, so doubling n should about quadruple the peak.  A
+    # per-voter table of every pair's relation would grow as n^3 (8x).
+    peaks = []
+    for n in (50, 100):
+        profile, axis = gen_narcissistic_sp(
+            GeneratorConfig(n, allow_ties=True, tie_probability=0.5, seed=3)
+        )
+        for order in profile.orders.values():
+            order.ranks  # warm the cached rank tables outside the trace
+        # CPython reuses up to 2000 freed 2-tuples without calling the
+        # allocator, so tracemalloc would miss a varying share of the pair
+        # keys.  Holding more than that many keeps every pair key counted.
+        held = [(i, -i) for i in range(4000)]
+        tracemalloc.start()
+        try:
+            assert is_tssc_wrt(profile, axis).ok
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        del held
+    assert peaks[1] <= 5 * peaks[0]
 
 
 def test_trivially_crossing_fixture_and_witness():
