@@ -6,19 +6,22 @@ The ``is_*_wrt`` checks verify a property against a supplied axis; the
 ``find_*_order`` functions search for such an axis exhaustively and are
 meant for small instances only.
 
-Every crossing check reads a voter's view of a pair through one primitive,
-:func:`_voter_relations`, and judges a pair's collapsed runs by one rule,
-``_CROSSING_RUNS``.  The axis checks stream voters along the axis and keep
-one run string per pair, which costs O(n^3) time and O(n^2) memory on
-complete profiles.
+Every crossing check judges a pair's collapsed runs along the axis by one
+rule, ``_CROSSING_RUNS``, and the axis checks find the smallest pair that
+breaks it in one place, :func:`_first_crossing_violation`.  When every voter
+ranks every agent, itself included, a tie-aware Kendall identity decides
+there in O(n^2 log n) time and O(n^2) memory.  Otherwise a streaming scan
+reads each voter's view of each pair through :func:`_voter_relations`,
+keeping one run string per pair: O(n^3) time and O(n^2) memory.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from collections import defaultdict
-from collections.abc import Iterator, Sequence
+from collections.abc import Collection, Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from itertools import combinations, groupby, permutations
 
 from .errors import TieGroupTooLarge, TiesUnsupported, TooManyAgents
 from .model import AgentId, PreferenceOrder, Profile
@@ -202,9 +205,27 @@ def _first_crossing_violation(
 ) -> tuple[AgentId, AgentId] | None:
     """Smallest pair whose collapsed runs leave _CROSSING_RUNS, or None.
 
-    Streams voters along the axis and keeps one run string per pair, so
-    memory stays at O(n^2) on complete profiles.  Every voter is read even
-    after a violation, since a smaller pair may fail further along.
+    When every voter ranks every agent, itself included, the tie-aware
+    Kendall identity decides in O(n^2 log n); otherwise the streaming scan
+    reads every voter's view of every pair it ranks.
+    """
+    everyone = profile.agent_set
+    if everyone and all(
+        order.ranks.keys() == everyone for order in profile.orders.values()
+    ):
+        return _kendall_crossing_violation(profile, pos)
+    return _scan_crossing_violation(profile, pos)
+
+
+def _scan_crossing_violation(
+    profile: Profile, pos: dict[AgentId, int]
+) -> tuple[AgentId, AgentId] | None:
+    """The streaming scan behind :func:`_first_crossing_violation`.
+
+    Visits voters along the axis and keeps one run string per pair, so it
+    takes O(n^3) time and O(n^2) memory on complete profiles.  Every voter
+    is read even after a violation, since a smaller pair may fail further
+    along.
     """
     runs: defaultdict[tuple[AgentId, AgentId], str] = defaultdict(str)
     violated: set[tuple[AgentId, AgentId]] = set()
@@ -219,6 +240,86 @@ def _first_crossing_violation(
             else:
                 violated.add(pair)
     return min(violated, default=None)
+
+
+def _doubled_midranks(groups: Sequence[Collection[int]], n: int) -> list[int]:
+    """Twice each agent's mid-rank plus one, in a list indexed by agent.
+
+    An agent in a tie group holding positions b .. b+s-1 gets 2b + s, so the
+    values order agents as the voter does, ties equal.
+    """
+    keys = [0] * n
+    before = 0
+    for group in groups:
+        size = len(group)
+        key = 2 * before + size
+        for x in group:
+            keys[x] = key
+        before += size
+    return keys
+
+
+def _discord(
+    groups: Sequence[Collection[int]], ku: list[int], kv: list[int]
+) -> list[int]:
+    """D_x(u, v) = sum over y != x of |s_u(x, y) - s_v(x, y)|, for every x.
+
+    s is -1, 0 or +1 as the voter puts x ahead of y, ties them, or puts y
+    ahead, so a partner the two voters order oppositely counts 2 and one
+    tied by exactly one of them counts 1.  ``groups`` are u's tie groups and
+    ``ku``, ``kv`` the two voters' :func:`_doubled_midranks`.  With P the
+    agents strictly ahead of x in both orders and Q those, x included, at or
+    ahead of x in both, D_x = ku[x] + kv[x] - 2(P + Q).  One sweep over u's
+    groups, keeping v's keys of the agents already passed sorted, finds P
+    and Q with one bisection each.
+    """
+    out = [a + b for a, b in zip(ku, kv)]
+    passed: list[int] = []
+    for group in groups:
+        for x in group:
+            out[x] -= 2 * bisect_left(passed, kv[x])
+        for x in group:
+            insort(passed, kv[x])
+        for x in group:
+            out[x] -= 2 * bisect_right(passed, kv[x])
+    return out
+
+
+def _kendall_crossing_violation(
+    profile: Profile, pos: dict[AgentId, int]
+) -> tuple[AgentId, AgentId] | None:
+    """:func:`_first_crossing_violation` for profiles ranking every agent.
+
+    With A, T, B read as -1, 0, +1, a pair's collapsed runs stay in
+    _CROSSING_RUNS exactly when its sequence along the axis is monotone,
+    that is, when its total variation equals |last - first|; it is never
+    less.  Summing over the partners y of one agent x, x lies in a violating
+    pair iff sum_t D_x(v_t, v_t+1) > D_x(v_1, v_n) (see :func:`_discord`).  The
+    smallest such x is the first coordinate of the smallest violating pair,
+    and one pass over x's partners finds the second.
+    """
+    agents = profile.agents
+    n = len(agents)
+    voters = [profile.orders[v] for v in sorted(profile.orders, key=pos.__getitem__)]
+    if agents[0] == 0 and agents[-1] == n - 1:
+        groups = [order.groups for order in voters]
+    else:  # sparse ids, as restrict() leaves them: work on indices
+        index = {a: k for k, a in enumerate(agents)}
+        groups = [[[index[a] for a in g] for g in order.groups] for order in voters]
+    keys = [_doubled_midranks(g, n) for g in groups]
+    excess = [-d for d in _discord(groups[0], keys[0], keys[-1])]
+    for g, ku, kv in zip(groups, keys, keys[1:]):
+        excess = [e + d for e, d in zip(excess, _discord(g, ku, kv))]
+    x = next((x for x, e in enumerate(excess) if e > 0), None)
+    if x is None:
+        return None
+    for y in range(x + 1, n):
+        word = "".join(
+            _A if k[x] < k[y] else _B if k[x] > k[y] else _T for k in keys
+        )
+        if "".join(rel for rel, _ in groupby(word)) not in _CROSSING_RUNS:
+            return agents[x], agents[y]
+    raise AssertionError("an agent with excess variation has a violating pair")
 
 
 def _extend_runs(runs, rels, trail: list) -> bool:
@@ -252,6 +353,9 @@ def is_tssc_wrt(profile: Profile, order: OrderLike) -> Verdict:
     block — or the mirror image.  Voters ranking at most one of the two are
     unconstrained.  On failure the verdict carries the first violating pair
     in (min, max) order.
+
+    Takes O(n^2 log n) time when every voter ranks every agent, itself
+    included, and O(n^3) time otherwise; memory is O(n^2) either way.
     """
     pair = _first_crossing_violation(profile, _order_positions(profile, order))
     return Verdict(True) if pair is None else Verdict(False, pair)
@@ -306,6 +410,9 @@ def is_sc_wrt(
     resolutions exactly, voter by voter along the axis.  The exact search
     refuses tie groups larger than ``max_tie_group`` (TieGroupTooLarge)
     rather than guessing.
+
+    The strict check costs what :func:`is_tssc_wrt` does: O(n^2 log n) time
+    when every voter ranks every agent, itself included, else O(n^3).
     """
     pos = _order_positions(profile, order)
     if not has_ties(profile):
@@ -552,18 +659,23 @@ def is_worst_restricted(profile: Profile) -> bool:
 def property_report(profile: Profile, order: OrderLike | None = None) -> PropertyReport:
     """Bundle the definitional checks, plus per-axis verdicts when given one."""
     notes: list[str] = []
+    tied = has_ties(profile)
     single_peaked = tssc = None
     single_crossing: bool | None = None
     if order is not None:
         single_peaked = is_single_peaked_wrt(profile, order)
         tssc = is_tssc_wrt(profile, order)
-        try:
-            single_crossing = is_sc_wrt(profile, order)
-        except TieGroupTooLarge as exc:
-            notes.append(str(exc))
+        if not tied:
+            # Without ties single-crossing is the same check, already made.
+            single_crossing = tssc.ok
+        else:
+            try:
+                single_crossing = is_sc_wrt(profile, order)
+            except TieGroupTooLarge as exc:
+                notes.append(str(exc))
     return PropertyReport(
         complete=is_complete(profile),
-        has_ties=has_ties(profile),
+        has_ties=tied,
         narcissistic=is_narcissistic(profile),
         single_peaked=single_peaked,
         tssc=tssc,

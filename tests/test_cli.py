@@ -15,9 +15,12 @@ from pathlib import Path
 import pytest
 
 from roommates import (
+    GeneratorConfig,
     Graph,
     Matching,
+    WitnessOrder,
     fixture,
+    gen_narcissistic_sp,
     is_narcissistic,
     is_single_peaked_wrt,
     is_stable,
@@ -27,6 +30,7 @@ from roommates import (
     parse_roles,
     serialize_graph,
     serialize_matching,
+    serialize_order,
     serialize_profile,
 )
 
@@ -114,6 +118,55 @@ def test_check_witnesses_name_the_violation(workdir):
         "tssc: no (witness 0 1)\n"
         "single-crossing: yes\n"
     )
+
+
+# A complete strict single-peaked profile (n=40, seed 3) checked against its
+# axis with the middle pair of voters swapped, as the CLI printed it when
+# every crossing check still went through the O(n^3) scan.
+SWAPPED_AXIS_CHECK = (
+    "agents: 40\n"
+    "complete: yes\n"
+    "ties: no\n"
+    "narcissistic: yes\n"
+    "worst-restricted: yes\n"
+    "single-peaked: no (witness 0 0 20 6)\n"
+    "tssc: no (witness 6 20)\n"
+    "single-crossing: no\n"
+)
+
+
+def write_swapped_axis_inputs(directory: Path) -> None:
+    profile, axis = gen_narcissistic_sp(GeneratorConfig(40, seed=3))
+    seq = list(axis.sequence)
+    seq[19], seq[20] = seq[20], seq[19]
+    (directory / "sp40.prof").write_text(serialize_profile(profile))
+    (directory / "swap.order").write_text(serialize_order(WitnessOrder(seq)))
+
+
+def test_check_against_a_swapped_axis_keeps_its_witnesses(tmp_path):
+    write_swapped_axis_inputs(tmp_path)
+    result = run("check", "sp40.prof", "--order", "swap.order", cwd=tmp_path)
+    assert result.returncode == 0
+    assert result.stdout == SWAPPED_AXIS_CHECK
+    assert result.stderr == ""
+
+
+def test_check_decides_crossing_once_without_ties(tmp_path, monkeypatch, capsys):
+    from roommates import cli, structure
+
+    write_swapped_axis_inputs(tmp_path)
+    decide = structure._first_crossing_violation
+    calls = []
+
+    def counted(profile, pos):
+        calls.append(profile)
+        return decide(profile, pos)
+
+    monkeypatch.setattr(structure, "_first_crossing_violation", counted)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["check", "sp40.prof", "--order", "swap.order"]) == 0
+    assert capsys.readouterr().out == SWAPPED_AXIS_CHECK
+    assert len(calls) == 1
 
 
 def test_check_output_is_reproducible(workdir):

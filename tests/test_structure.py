@@ -30,7 +30,9 @@ from roommates import (
     is_tssc_wrt,
     is_worst_restricted,
     property_report,
+    restrict,
 )
+from roommates import structure
 
 from oracles import (
     first_tssc_violation_by_definition,
@@ -166,29 +168,155 @@ def test_tssc_matches_the_definition_on_random_profiles():
         assert verdict.witness == first_tssc_violation_by_definition(profile, order)
 
 
+def _tssc_peak_bytes(profile, axis) -> int:
+    """tracemalloc peak of a passing is_tssc_wrt call."""
+    for order in profile.orders.values():
+        order.ranks  # warm the cached rank tables outside the trace
+    # CPython reuses up to 2000 freed 2-tuples without calling the
+    # allocator, so tracemalloc would miss a varying share of the pair
+    # keys.  Holding more than that many keeps every pair key counted.
+    held = [(i, -i) for i in range(4000)]
+    tracemalloc.start()
+    try:
+        assert is_tssc_wrt(profile, axis).ok
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        del held
+
+
+def _sp_profile(n):
+    return gen_narcissistic_sp(
+        GeneratorConfig(n, allow_ties=True, tie_probability=0.5, seed=3)
+    )
+
+
+def _deleting(profile, removals):
+    """The profile with removals[i] deleted from agent i's order."""
+    raw = {}
+    for i, order in profile.orders.items():
+        gone = removals.get(i, set())
+        raw[i] = [sorted(g - gone) for g in order.groups if g - gone]
+    return build_profile(raw)
+
+
+def _adjacent_swap(axis, k):
+    seq = list(axis)
+    seq[k], seq[k + 1] = seq[k + 1], seq[k]
+    return seq
+
+
 def test_tssc_memory_grows_with_the_pairs_not_the_voter_pair_table():
-    # The axis scan keeps one run string per pair: Theta(n^2) memory on a
-    # complete profile, so doubling n should about quadruple the peak.  A
-    # per-voter table of every pair's relation would grow as n^3 (8x).
+    # The axis check keeps O(n^2) state on a complete profile, so doubling
+    # n should about quadruple the peak.  A per-voter table of every pair's
+    # relation would grow as n^3 (8x).
+    peaks = [_tssc_peak_bytes(*_sp_profile(n)) for n in (50, 100)]
+    assert peaks[1] <= 5 * peaks[0]
+
+
+def test_tssc_scan_memory_grows_with_the_pairs_on_incomplete_profiles():
+    # Deleting one mutually acceptable pair from both orders sends the
+    # check down the streaming scan, whose one run string per pair must
+    # keep memory at Theta(n^2) as well.
     peaks = []
     for n in (50, 100):
-        profile, axis = gen_narcissistic_sp(
-            GeneratorConfig(n, allow_ties=True, tie_probability=0.5, seed=3)
-        )
-        for order in profile.orders.values():
-            order.ranks  # warm the cached rank tables outside the trace
-        # CPython reuses up to 2000 freed 2-tuples without calling the
-        # allocator, so tracemalloc would miss a varying share of the pair
-        # keys.  Holding more than that many keeps every pair key counted.
-        held = [(i, -i) for i in range(4000)]
-        tracemalloc.start()
-        try:
-            assert is_tssc_wrt(profile, axis).ok
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-        del held
+        profile, axis = _sp_profile(n)
+        profile = _deleting(profile, {0: {1}, 1: {0}})
+        assert not is_complete(profile)
+        peaks.append(_tssc_peak_bytes(profile, axis))
     assert peaks[1] <= 5 * peaks[0]
+
+
+def _complete_cases(rng):
+    """(profile, axis) pairs on which every voter ranks every agent."""
+    for narcissistic in (True, False):
+        for p_tie in (0.0, 0.3, 0.6):
+            for _ in range(25):
+                profile = random_complete_profile(
+                    rng, rng.randint(2, 9), narcissistic, p_tie
+                )
+                axis = list(profile.agents)
+                rng.shuffle(axis)
+                yield profile, axis
+    for n in (2, 4, 6, 8):
+        for seed in range(6):
+            profile, axis = gen_narcissistic_sp(
+                GeneratorConfig(n, allow_ties=seed % 2 == 0, tie_probability=0.5,
+                                seed=seed)
+            )
+            yield profile, axis.sequence
+            yield profile, _adjacent_swap(axis, rng.randrange(n - 1))
+
+
+def test_kendall_path_matches_the_definitions_on_complete_profiles():
+    tssc_failures = sc_checked = 0
+    for profile, axis in _complete_cases(random.Random(14)):
+        verdict = is_tssc_wrt(profile, axis)
+        assert verdict.ok == tssc_by_definition(profile, axis)
+        assert verdict.witness == first_tssc_violation_by_definition(profile, axis)
+        tssc_failures += not verdict.ok
+        try:
+            expected = sc_by_definition(profile, axis, cap=4096)
+        except ValueError:
+            continue  # too many tie resolutions for the oracle
+        assert is_sc_wrt(profile, axis) == expected
+        sc_checked += 1
+    assert tssc_failures >= 100 and sc_checked >= 120
+
+
+def test_kendall_path_matches_the_scan_on_larger_profiles():
+    rng = random.Random(15)
+    cases = []
+    for _ in range(20):
+        profile = random_complete_profile(
+            rng, rng.randint(10, 40), rng.random() < 0.5, rng.choice((0.0, 0.3, 0.6))
+        )
+        cases.append((profile, rng.sample(profile.agents, profile.n_agents)))
+    for seed in range(20):
+        n = rng.choice((10, 20, 30, 40))
+        profile, axis = gen_narcissistic_sp(
+            GeneratorConfig(n, allow_ties=seed % 2 == 0, tie_probability=0.5, seed=seed)
+        )
+        cases.append((profile, axis.sequence))
+        cases.append((profile, _adjacent_swap(axis, rng.randrange(n - 1))))
+    violations = 0
+    for profile, axis in cases:
+        pos = {a: p for p, a in enumerate(axis)}
+        for p in (profile, break_ties_fixed(profile, sorted(profile.agents))):
+            expected = structure._scan_crossing_violation(p, pos)
+            assert structure._first_crossing_violation(p, pos) == expected
+            violations += expected is not None
+    assert violations >= 40
+
+
+def test_only_profiles_missing_a_ranking_take_the_scan(monkeypatch):
+    class ScanReached(Exception):
+        pass
+
+    def scan(profile, pos):
+        raise ScanReached
+
+    monkeypatch.setattr(structure, "_scan_crossing_violation", scan)
+    rng = random.Random(16)
+    for narcissistic in (True, False):
+        profile = random_complete_profile(rng, 6, narcissistic, p_tie=0.3)
+        axis = list(profile.agents)
+        is_tssc_wrt(profile, axis)
+        is_sc_wrt(profile, axis)
+        is_sc_wrt(break_ties_fixed(profile, axis), axis)
+
+    complete = random_complete_profile(rng, 6, p_tie=0.3)
+    omits_itself = _deleting(complete, {0: {0}})
+    assert is_complete(omits_itself)
+    incomplete = _deleting(complete, {2: {3}, 3: {2}})
+    sparse = restrict(complete, [1])
+    for profile in (omits_itself, incomplete, fixture("p1")):
+        with pytest.raises(ScanReached):
+            is_tssc_wrt(profile, profile.agents)
+    # Restricting a complete profile keeps it complete, with sparse ids.
+    assert is_tssc_wrt(sparse, sparse.agents).witness == (
+        first_tssc_violation_by_definition(sparse, sparse.agents)
+    )
 
 
 def test_trivially_crossing_fixture_and_witness():
