@@ -10,7 +10,9 @@ Every crossing check judges a pair's collapsed runs along the axis by one
 rule, ``_CROSSING_RUNS``, and the axis checks find the smallest pair that
 breaks it in one place, :func:`_first_crossing_violation`.  When every voter
 ranks every agent, itself included, a tie-aware Kendall identity decides
-there in O(n^2 log n) time and O(n^2) memory.  Otherwise a streaming scan
+there with O(n^2 log n) comparisons in O(n^2) memory; its sorted-list
+insertions add O(n^3) element moves, which run as block copies and stay
+well below the comparisons' cost up to n=800.  Otherwise a streaming scan
 reads each voter's view of each pair through :func:`_voter_relations`,
 keeping one run string per pair: O(n^3) time and O(n^2) memory.
 """
@@ -206,8 +208,8 @@ def _first_crossing_violation(
     """Smallest pair whose collapsed runs leave _CROSSING_RUNS, or None.
 
     When every voter ranks every agent, itself included, the tie-aware
-    Kendall identity decides in O(n^2 log n); otherwise the streaming scan
-    reads every voter's view of every pair it ranks.
+    Kendall identity decides with O(n^2 log n) comparisons; otherwise the
+    streaming scan reads every voter's view of every pair it ranks.
     """
     everyone = profile.agent_set
     if everyone and all(
@@ -242,45 +244,53 @@ def _scan_crossing_violation(
     return min(violated, default=None)
 
 
-def _doubled_midranks(groups: Sequence[Collection[int]], n: int) -> list[int]:
-    """Twice each agent's mid-rank plus one, in a list indexed by agent.
+def _doubled_midranks(
+    groups: Sequence[Collection[AgentId]], index: dict[AgentId, int]
+) -> list[int]:
+    """Twice each agent's mid-rank plus one, in a list in ``index`` order.
 
     An agent in a tie group holding positions b .. b+s-1 gets 2b + s, so the
     values order agents as the voter does, ties equal.
     """
-    keys = [0] * n
+    keys = [0] * len(index)
     before = 0
     for group in groups:
         size = len(group)
         key = 2 * before + size
-        for x in group:
-            keys[x] = key
+        for a in group:
+            keys[index[a]] = key
         before += size
     return keys
 
 
 def _discord(
-    groups: Sequence[Collection[int]], ku: list[int], kv: list[int]
+    groups: Sequence[Collection[AgentId]],
+    index: dict[AgentId, int],
+    ku: list[int],
+    kv: list[int],
 ) -> list[int]:
     """D_x(u, v) = sum over y != x of |s_u(x, y) - s_v(x, y)|, for every x.
 
     s is -1, 0 or +1 as the voter puts x ahead of y, ties them, or puts y
     ahead, so a partner the two voters order oppositely counts 2 and one
-    tied by exactly one of them counts 1.  ``groups`` are u's tie groups and
-    ``ku``, ``kv`` the two voters' :func:`_doubled_midranks`.  With P the
-    agents strictly ahead of x in both orders and Q those, x included, at or
-    ahead of x in both, D_x = ku[x] + kv[x] - 2(P + Q).  One sweep over u's
+    tied by exactly one of them counts 1.  ``groups`` are u's tie groups,
+    ``ku``, ``kv`` the two voters' :func:`_doubled_midranks`, and the result
+    is in ``index`` order too.  With P the agents strictly ahead of x in
+    both orders and Q those, x included, at or ahead of x in both,
+    D_x = ku[x] + kv[x] - 2(P + Q).  One sweep over u's
     groups, keeping v's keys of the agents already passed sorted, finds P
-    and Q with one bisection each.
+    and Q with one bisection each: O(n log n) comparisons, plus O(n^2)
+    element moves for the insertions.
     """
     out = [a + b for a, b in zip(ku, kv)]
     passed: list[int] = []
     for group in groups:
-        for x in group:
+        members = [index[a] for a in group]
+        for x in members:
             out[x] -= 2 * bisect_left(passed, kv[x])
-        for x in group:
+        for x in members:
             insort(passed, kv[x])
-        for x in group:
+        for x in members:
             out[x] -= 2 * bisect_right(passed, kv[x])
     return out
 
@@ -300,16 +310,14 @@ def _kendall_crossing_violation(
     """
     agents = profile.agents
     n = len(agents)
-    voters = [profile.orders[v] for v in sorted(profile.orders, key=pos.__getitem__)]
-    if agents[0] == 0 and agents[-1] == n - 1:
-        groups = [order.groups for order in voters]
-    else:  # sparse ids, as restrict() leaves them: work on indices
-        index = {a: k for k, a in enumerate(agents)}
-        groups = [[[index[a] for a in g] for g in order.groups] for order in voters]
-    keys = [_doubled_midranks(g, n) for g in groups]
-    excess = [-d for d in _discord(groups[0], keys[0], keys[-1])]
+    index = {a: k for k, a in enumerate(agents)}
+    groups = [
+        profile.orders[v].groups for v in sorted(profile.orders, key=pos.__getitem__)
+    ]
+    keys = [_doubled_midranks(g, index) for g in groups]
+    excess = [-d for d in _discord(groups[0], index, keys[0], keys[-1])]
     for g, ku, kv in zip(groups, keys, keys[1:]):
-        excess = [e + d for e, d in zip(excess, _discord(g, ku, kv))]
+        excess = [e + d for e, d in zip(excess, _discord(g, index, ku, kv))]
     x = next((x for x, e in enumerate(excess) if e > 0), None)
     if x is None:
         return None
@@ -354,8 +362,9 @@ def is_tssc_wrt(profile: Profile, order: OrderLike) -> Verdict:
     unconstrained.  On failure the verdict carries the first violating pair
     in (min, max) order.
 
-    Takes O(n^2 log n) time when every voter ranks every agent, itself
-    included, and O(n^3) time otherwise; memory is O(n^2) either way.
+    Takes O(n^2 log n) comparisons (plus O(n^3) cheap list moves) when
+    every voter ranks every agent, itself included, and O(n^3) time
+    otherwise; memory is O(n^2) either way.
     """
     pair = _first_crossing_violation(profile, _order_positions(profile, order))
     return Verdict(True) if pair is None else Verdict(False, pair)
@@ -411,8 +420,9 @@ def is_sc_wrt(
     refuses tie groups larger than ``max_tie_group`` (TieGroupTooLarge)
     rather than guessing.
 
-    The strict check costs what :func:`is_tssc_wrt` does: O(n^2 log n) time
-    when every voter ranks every agent, itself included, else O(n^3).
+    The strict check costs what :func:`is_tssc_wrt` does: O(n^2 log n)
+    comparisons when every voter ranks every agent, itself included, else
+    O(n^3) time.
     """
     pos = _order_positions(profile, order)
     if not has_ties(profile):
@@ -659,23 +669,18 @@ def is_worst_restricted(profile: Profile) -> bool:
 def property_report(profile: Profile, order: OrderLike | None = None) -> PropertyReport:
     """Bundle the definitional checks, plus per-axis verdicts when given one."""
     notes: list[str] = []
-    tied = has_ties(profile)
     single_peaked = tssc = None
     single_crossing: bool | None = None
     if order is not None:
         single_peaked = is_single_peaked_wrt(profile, order)
         tssc = is_tssc_wrt(profile, order)
-        if not tied:
-            # Without ties single-crossing is the same check, already made.
-            single_crossing = tssc.ok
-        else:
-            try:
-                single_crossing = is_sc_wrt(profile, order)
-            except TieGroupTooLarge as exc:
-                notes.append(str(exc))
+        try:
+            single_crossing = is_sc_wrt(profile, order)
+        except TieGroupTooLarge as exc:
+            notes.append(str(exc))
     return PropertyReport(
         complete=is_complete(profile),
-        has_ties=tied,
+        has_ties=has_ties(profile),
         narcissistic=is_narcissistic(profile),
         single_peaked=single_peaked,
         tssc=tssc,

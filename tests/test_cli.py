@@ -135,38 +135,16 @@ SWAPPED_AXIS_CHECK = (
 )
 
 
-def write_swapped_axis_inputs(directory: Path) -> None:
+def test_check_against_a_swapped_axis_keeps_its_witnesses(tmp_path):
     profile, axis = gen_narcissistic_sp(GeneratorConfig(40, seed=3))
     seq = list(axis.sequence)
     seq[19], seq[20] = seq[20], seq[19]
-    (directory / "sp40.prof").write_text(serialize_profile(profile))
-    (directory / "swap.order").write_text(serialize_order(WitnessOrder(seq)))
-
-
-def test_check_against_a_swapped_axis_keeps_its_witnesses(tmp_path):
-    write_swapped_axis_inputs(tmp_path)
+    (tmp_path / "sp40.prof").write_text(serialize_profile(profile))
+    (tmp_path / "swap.order").write_text(serialize_order(WitnessOrder(seq)))
     result = run("check", "sp40.prof", "--order", "swap.order", cwd=tmp_path)
     assert result.returncode == 0
     assert result.stdout == SWAPPED_AXIS_CHECK
     assert result.stderr == ""
-
-
-def test_check_decides_crossing_once_without_ties(tmp_path, monkeypatch, capsys):
-    from roommates import cli, structure
-
-    write_swapped_axis_inputs(tmp_path)
-    decide = structure._first_crossing_violation
-    calls = []
-
-    def counted(profile, pos):
-        calls.append(profile)
-        return decide(profile, pos)
-
-    monkeypatch.setattr(structure, "_first_crossing_violation", counted)
-    monkeypatch.chdir(tmp_path)
-    assert cli.main(["check", "sp40.prof", "--order", "swap.order"]) == 0
-    assert capsys.readouterr().out == SWAPPED_AXIS_CHECK
-    assert len(calls) == 1
 
 
 def test_check_output_is_reproducible(workdir):
