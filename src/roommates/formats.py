@@ -14,9 +14,11 @@ ascending — so equal objects always produce byte-identical files.
 
 from __future__ import annotations
 
+from itertools import pairwise
+
 from .coloring import Graph
 from .errors import ParseError
-from .model import AgentId, Matching, Profile, build_profile
+from .model import AgentId, Matching, PreferenceOrder, Profile, profile_from_orders
 from .reduction import BetweennessInstance
 from .structure import WitnessOrder
 
@@ -55,13 +57,25 @@ def parse_profile(text: str) -> Profile:
     Each ``pref id: g | g | ...`` line lists tie groups best-first, members
     separated by spaces.  Every agent in 0..N-1 must get exactly one line
     (an empty right-hand side is a legal empty order).
+
+    Linear in the size of the text.  When there are exactly N ``pref``
+    lines, members are looked up in a table of the canonical ids
+    ``"0"..."N-1"``; a line the table cannot read, and every line of a file
+    with another count, is read token by token instead, which accepts any
+    integer spelling and raises the precise error.
     """
     lines = list(_lines(text))
     if not lines:
         raise ParseError("empty profile file")
     line_no, body = lines[0]
     n = _count_line(body, line_no, "agents")
-    orders: dict[AgentId, list[list[AgentId]]] = {}
+    ids: list[AgentId] = []
+    table: dict[str, AgentId] = {}
+    if len(lines) - 1 == n:
+        ids = list(range(n))
+        table = dict(zip(map(str, ids), ids))
+        table["|"] = -1
+    orders: dict[AgentId, PreferenceOrder | list[list[AgentId]]] = {}
     for line_no, body in lines[1:]:
         head, sep, tail = body.partition(":")
         tokens = head.split()
@@ -72,22 +86,71 @@ def parse_profile(text: str) -> Profile:
             raise ParseError(f"agent {agent} outside 0..{n - 1}", line_no)
         if agent in orders:
             raise ParseError(f"duplicate pref line for agent {agent}", line_no)
-        groups: list[list[AgentId]] = []
-        chunks = tail.split("|")
-        if len(chunks) > 1 or chunks[0].strip():
-            for chunk in chunks:
-                members = [_int(tok, line_no) for tok in chunk.split()]
-                if not members:
-                    raise ParseError("empty tie group", line_no)
-                for m in members:
-                    if not 0 <= m < n:
-                        raise ParseError(f"agent {m} outside 0..{n - 1}", line_no)
-                groups.append(members)
-        orders[agent] = groups
-    missing = [i for i in range(n) if i not in orders]
-    if missing:
-        raise ParseError(f"no pref line for agent {missing[0]}")
-    return build_profile(orders)
+        order = _flat_order(ids[agent], tail, table, ids) if table else None
+        orders[agent] = _raw_groups(tail, n, line_no) if order is None else order
+    if len(orders) != n:
+        missing = next(i for i in range(n) if i not in orders)
+        raise ParseError(f"no pref line for agent {missing}")
+    return profile_from_orders({
+        agent: order if isinstance(order, PreferenceOrder)
+        else PreferenceOrder.from_groups(agent, order)
+        for agent, order in orders.items()
+    })
+
+
+def _flat_order(
+    agent: AgentId, tail: str, table: dict[str, AgentId], ids: list[AgentId]
+) -> PreferenceOrder | None:
+    """The order a ``pref`` line's right-hand side spells, or None.
+
+    ``table`` maps each canonical id, and ``|`` to -1.  None means the line
+    needs :func:`_raw_groups`: a token outside the table, an empty tie
+    group, or an agent named twice.
+    """
+    try:
+        values = [table[token] for token in tail.replace("|", " | ").split()]
+    except KeyError:
+        return None
+    members = values[::2]
+    # A line without ties alternates members and bars.
+    if len(values) % 2 and values.count(-1) == len(values) // 2 and -1 not in members:
+        starts: list[int] | range = range(len(members))
+    else:
+        members, starts = [], []
+        opened = False
+        for value in values:
+            if value >= 0:
+                if not opened:
+                    starts.append(len(members))
+                    opened = True
+                members.append(value)
+            elif opened:
+                opened = False
+            else:
+                return None
+        if values and not opened:
+            return None
+        for lo, hi in pairwise((*starts, len(members))):
+            if hi - lo > 1:
+                members[lo:hi] = sorted(members[lo:hi])
+    order = PreferenceOrder(agent, tuple(members), starts, ids)
+    return order if len(order.ranks) == len(members) else None
+
+
+def _raw_groups(tail: str, n: int, line_no: int) -> list[list[AgentId]]:
+    """A ``pref`` line's tie groups read token by token, or its ParseError."""
+    groups: list[list[AgentId]] = []
+    chunks = tail.split("|")
+    if len(chunks) > 1 or chunks[0].strip():
+        for chunk in chunks:
+            members = [_int(tok, line_no) for tok in chunk.split()]
+            if not members:
+                raise ParseError("empty tie group", line_no)
+            for m in members:
+                if not 0 <= m < n:
+                    raise ParseError(f"agent {m} outside 0..{n - 1}", line_no)
+            groups.append(members)
+    return groups
 
 
 def serialize_profile(profile: Profile) -> str:
@@ -95,12 +158,16 @@ def serialize_profile(profile: Profile) -> str:
     n = profile.n_agents
     if profile.agents != tuple(range(n)):
         raise ValueError("only profiles with dense ids 0..N-1 serialize")
+    names = [str(i) for i in range(n)]
     out = [f"agents {n}"]
     for i in profile.agents:
-        groups = " | ".join(
-            " ".join(str(m) for m in sorted(g)) for g in profile.orders[i].groups
-        )
-        out.append(f"pref {i}: {groups}".rstrip())
+        order = profile.orders[i]
+        parts = list(map(names.__getitem__, order.members))
+        if order.has_tie:
+            bounds = pairwise((*order.starts, len(parts)))
+            for lo, hi in reversed([(lo, hi) for lo, hi in bounds if hi - lo > 1]):
+                parts[lo:hi] = [" ".join(parts[lo:hi])]
+        out.append(f"pref {names[i]}: {' | '.join(parts)}".rstrip())
     return "\n".join(out) + "\n"
 
 

@@ -57,13 +57,15 @@ def find_mutual_most_acceptable_pair(profile: Profile) -> Pair | None:
 
 
 def _check_preconditions(profile: Profile) -> None:
+    everyone = profile.agent_set
     for i in profile.agents:
-        order = profile.orders[i]
-        if order.acceptable | {i} != profile.agent_set:
+        ranks = profile.orders[i].ranks
+        ranked = len(ranks) + (i not in ranks)
+        if ranked != len(everyone) or not everyone.issuperset(ranks):
             raise NotComplete(i)
     for i in profile.agents:
         order = profile.orders[i]
-        if not order.groups or order.groups[0] != frozenset({i}):
+        if not order.members or order.group(0) != (i,):
             raise NotNarcissistic(i)
 
 
@@ -86,7 +88,7 @@ def greedy_solve(profile: Profile) -> tuple[Matching, SolveTrace]:
     agents = profile.agents
     n = len(agents)
     index = {a: k for k, a in enumerate(agents)}
-    glists = [profile.orders[a].groups for a in agents]
+    orders = [profile.orders[a] for a in agents]
     alive = [True] * n
 
     # cur[k]: surviving members (dense indices) of k's best non-self tie
@@ -98,10 +100,10 @@ def greedy_solve(profile: Profile) -> tuple[Matching, SolveTrace]:
     fans: list[set[int]] = [set() for _ in range(n)]
 
     def promote(k: int) -> None:
-        groups = glists[k]
+        order = orders[k]
         j = gi[k] + 1
-        while j < len(groups):
-            live = {m for m in (index[a] for a in groups[j]) if alive[m]}
+        while j < len(order.starts):
+            live = {m for m in (index[a] for a in order.group(j)) if alive[m]}
             if live:
                 gi[k] = j
                 cur[k] = live

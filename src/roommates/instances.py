@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .coloring import Graph
 from .errors import InternalInvariantViolation, UnknownFixture
-from .model import AgentId, Profile, build_profile
+from .model import AgentId, PreferenceOrder, Profile, build_profile, profile_from_orders
 from .structure import WitnessOrder, is_single_peaked_wrt
 
 _FIXTURES: dict[str, dict[AgentId, list[list[AgentId]]]] = {
@@ -123,37 +123,53 @@ def gen_narcissistic_sp(config: GeneratorConfig) -> tuple[Profile, WitnessOrder]
     rng = random.Random(config.seed)
     n = config.n_agents
     positions = rng.sample(range(10 * n), n)
-    pos = {i: positions[i] for i in range(n)}
+    ids = list(range(n))
+    axis = sorted(ids, key=positions.__getitem__)
+    place = [0] * n
+    for p, a in enumerate(axis):
+        place[a] = p
 
-    orders: dict[AgentId, list[list[AgentId]]] = {}
+    # Each agent walks outward along the axis, taking the nearer neighbor
+    # first, so the rng draws for equidistant pairs come in the order of
+    # increasing distance, agent by agent.
+    orders: dict[AgentId, PreferenceOrder] = {}
     for i in range(n):
-        by_dist = sorted(range(n), key=lambda j: (abs(pos[j] - pos[i]), pos[j]))
-        groups: list[list[AgentId]] = []
-        j = 0
-        while j < len(by_dist):
-            a = by_dist[j]
-            if (
-                j + 1 < len(by_dist)
-                and abs(pos[by_dist[j + 1]] - pos[i]) == abs(pos[a] - pos[i])
-            ):
-                b = by_dist[j + 1]
-                left, right = (a, b) if pos[a] < pos[b] else (b, a)
-                if config.allow_ties and rng.random() < config.tie_probability:
-                    groups.append(sorted((left, right)))
-                else:
-                    groups.append([left])
-                    groups.append([right])
-                j += 2
+        here = positions[i]
+        left, right = place[i] - 1, place[i] + 1
+        members = [ids[i]]
+        starts = [0]
+        while left >= 0 or right < n:
+            if right == n:
+                gap = -1
+            elif left < 0:
+                gap = 1
             else:
-                groups.append([a])
-                j += 1
-        orders[i] = groups
+                gap = (here - positions[axis[left]]) - (positions[axis[right]] - here)
+            if gap < 0:
+                starts.append(len(members))
+                members.append(axis[left])
+                left -= 1
+            elif gap > 0:
+                starts.append(len(members))
+                members.append(axis[right])
+                right += 1
+            else:
+                a, b = axis[left], axis[right]
+                starts.append(len(members))
+                if config.allow_ties and rng.random() < config.tie_probability:
+                    members += sorted((a, b))
+                else:
+                    starts.append(len(members) + 1)
+                    members += (a, b)
+                left -= 1
+                right += 1
+        orders[i] = PreferenceOrder(ids[i], tuple(members), starts, ids)
 
-    profile = build_profile(orders)
-    axis = WitnessOrder(sorted(range(n), key=pos.__getitem__))
-    if not is_single_peaked_wrt(profile, axis):
+    profile = profile_from_orders(orders)
+    witness = WitnessOrder(axis)
+    if not is_single_peaked_wrt(profile, witness):
         raise InternalInvariantViolation("generated profile failed its axis check")
-    return profile, axis
+    return profile, witness
 
 
 def gen_degree3_graph(n: int, edge_probability: float, seed: int = 0) -> Graph:

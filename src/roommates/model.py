@@ -1,9 +1,12 @@
 """Core data model: agents, weak-order preferences, profiles, matchings.
 
-Agents are plain non-negative ints.  A preference order is a sequence of
-tie groups over the agents its owner finds acceptable (best group first);
-an agent may list itself.  A profile bundles one order per agent and
-guarantees that acceptability is symmetric.
+Agents are plain non-negative ints.  A preference order ranks the agents
+its owner finds acceptable in tie groups, best group first; an agent may
+list itself.  It is stored flat: the members in rank order (ascending
+inside a tie group), the offset where each group starts, and a rank table
+built with the order.  The frozenset ``groups`` and ``acceptable`` are
+views derived from that storage on request.  A profile bundles one order
+per agent and guarantees that acceptability is symmetric.
 
 Top-level profiles use dense ids ``0..n-1``.  Profiles produced by
 :func:`restrict` keep the surviving agents' original ids, so sub-profiles
@@ -14,10 +17,11 @@ from __future__ import annotations
 
 import logging
 import warnings
-from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from functools import cached_property
+from itertools import accumulate, pairwise
 
 from .errors import (
     AsymmetricAcceptability,
@@ -42,52 +46,103 @@ class Comparison(Enum):
     INCOMPARABLE = "incomparable"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PreferenceOrder:
-    """Ranked tie groups of a single agent, most preferred group first."""
+    """One agent's ranked tie groups, stored flat, most preferred group first.
+
+    ``members`` lists the ranked agents group by group, ascending inside a
+    tie group, and ``starts`` holds the offset in ``members`` where each
+    group begins: a ``range`` when every group is a singleton, else a tuple.
+    ``ranks`` maps each member to its group's index and is built with the
+    order.  ``groups`` and ``acceptable`` are views derived on each call.
+
+    The constructor trusts its input; :meth:`from_groups` checks it.
+    ``shared``, when given, supplies the int objects used as rank values
+    and offsets, so that orders built together store each number once.
+    """
 
     owner: AgentId
-    groups: tuple[frozenset[AgentId], ...]
+    members: tuple[AgentId, ...]
+    starts: Sequence[int]
+    ranks: dict[AgentId, int] = field(init=False, repr=False, compare=False)
+    shared: InitVar[Sequence[int]] = ()
 
-    @cached_property
-    def ranks(self) -> dict[AgentId, int]:
-        """Map each acceptable agent to the index of its tie group."""
-        return {member: g for g, group in enumerate(self.groups) for member in group}
+    def __post_init__(self, shared: Sequence[int]) -> None:
+        size = len(self.members)
+        numbers = shared if len(shared) >= size else range(size)
+        if len(self.starts) == size:
+            starts: Sequence[int] = range(size)
+            values: Iterable[int] = numbers
+        else:
+            starts = tuple(map(numbers.__getitem__, self.starts))
+            # steps[p] is 1 where a group other than the first begins, so
+            # its running sum is the group index at each position.
+            steps = [0] * size
+            for s in starts[1:]:
+                steps[s] = 1
+            values = map(numbers.__getitem__, accumulate(steps))
+        object.__setattr__(self, "starts", starts)
+        object.__setattr__(self, "ranks", dict(zip(self.members, values)))
 
-    @cached_property
+    @classmethod
+    def from_groups(cls, owner: AgentId, raw: RawOrder) -> "PreferenceOrder":
+        """Build from raw tie groups, checking them.
+
+        Repeats inside a group merge, empty groups drop, and an agent in two
+        groups raises DuplicateInOrder.
+        """
+        seen: set[AgentId] = set()
+        members: list[AgentId] = []
+        starts: list[int] = []
+        for raw_group in raw:
+            group = sorted({int(x) for x in raw_group})
+            if not group:
+                continue
+            for member in group:
+                if member in seen:
+                    raise DuplicateInOrder(owner, member)
+                seen.add(member)
+            starts.append(len(members))
+            members += group
+        return cls(owner, tuple(members), tuple(starts))
+
+    def group(self, g: int) -> tuple[AgentId, ...]:
+        """Members of tie group ``g``, ascending."""
+        end = self.starts[g + 1] if g + 1 < len(self.starts) else len(self.members)
+        return self.members[self.starts[g]:end]
+
+    def group_slices(self) -> Iterator[tuple[AgentId, ...]]:
+        """Each tie group's members, ascending, best group first."""
+        members = self.members
+        for lo, hi in pairwise((*self.starts, len(members))):
+            yield members[lo:hi]
+
+    @property
+    def groups(self) -> tuple[frozenset[AgentId], ...]:
+        return tuple(frozenset(g) for g in self.group_slices())
+
+    @property
     def acceptable(self) -> frozenset[AgentId]:
         """All agents this owner ranks, possibly including itself."""
         return frozenset(self.ranks)
 
     @property
     def has_tie(self) -> bool:
-        return any(len(group) > 1 for group in self.groups)
+        return len(self.starts) != len(self.members)
 
     def rank_of(self, x: AgentId) -> int | None:
         return self.ranks.get(x)
 
-    def without(self, removed: frozenset[AgentId]) -> "PreferenceOrder":
+    def without(self, removed: Collection[AgentId]) -> "PreferenceOrder":
         """Copy of this order with ``removed`` deleted and empty groups dropped."""
-        kept = tuple(
-            frozenset(g - removed) for g in self.groups if not g <= removed
-        )
-        return PreferenceOrder(self.owner, tuple(g for g in kept if g))
-
-
-def _make_order(owner: AgentId, raw: RawOrder) -> PreferenceOrder:
-    """Build a PreferenceOrder from raw groups, rejecting duplicate entries."""
-    seen: set[AgentId] = set()
-    groups: list[frozenset[AgentId]] = []
-    for raw_group in raw:
-        group = frozenset(int(x) for x in raw_group)
-        if not group:
-            continue
-        for member in sorted(group):
-            if member in seen:
-                raise DuplicateInOrder(owner, member)
-            seen.add(member)
-        groups.append(group)
-    return PreferenceOrder(owner, tuple(groups))
+        members: list[AgentId] = []
+        starts: list[int] = []
+        for group in self.group_slices():
+            kept = [m for m in group if m not in removed]
+            if kept:
+                starts.append(len(members))
+                members += kept
+        return PreferenceOrder(self.owner, tuple(members), tuple(starts))
 
 
 @dataclass(frozen=True)
@@ -192,12 +247,50 @@ class Matching:
 # ---------------------------------------------------------------------------
 
 def _check_symmetry(orders: Mapping[AgentId, PreferenceOrder]) -> None:
+    """Raise AsymmetricAcceptability for the first one-sided pair in id order.
+
+    A profile in which every agent ranks every agent passes at once.
+    Otherwise one pass over every entry confirms a symmetric profile, and
+    only a failing one is searched again in sorted order for the first
+    offending pair.
+    """
+    everyone = orders.keys()
+    if all(order.ranks.keys() == everyone for order in orders.values()):
+        return
+    tables = {i: order.ranks for i, order in orders.items()}
+    empty: dict[AgentId, int] = {}
+    for i, order in orders.items():
+        if not all([i in tables.get(j, empty) for j in order.members]):
+            break
+    else:
+        return
     for i in sorted(orders):
-        for j in sorted(orders[i].acceptable):
+        for j in sorted(orders[i].ranks):
             if j == i:
                 continue
-            if j not in orders or i not in orders[j].acceptable:
+            if j not in orders or i not in orders[j].ranks:
                 raise AsymmetricAcceptability(i, j)
+
+
+def profile_from_orders(
+    orders: Mapping[AgentId, PreferenceOrder],
+    *,
+    labels: Mapping[AgentId, str] | None = None,
+) -> Profile:
+    """Assemble a profile from built orders, keyed by their owners.
+
+    Checks what :func:`build_profile` checks: no agent twice in one order
+    (DuplicateInOrder), then symmetric acceptability.
+    """
+    for order in orders.values():
+        if len(order.ranks) != len(order.members):
+            seen: set[AgentId] = set()
+            for member in order.members:
+                if member in seen:
+                    raise DuplicateInOrder(order.owner, member)
+                seen.add(member)
+    _check_symmetry(orders)
+    return Profile(orders=dict(orders), labels=dict(labels) if labels else None)
 
 
 def build_profile(
@@ -211,9 +304,10 @@ def build_profile(
     occur legitimately in restricted and reduced instances).  Symmetric
     acceptability and duplicate-free orders are still enforced.
     """
-    built = {int(i): _make_order(int(i), raw) for i, raw in orders.items()}
-    _check_symmetry(built)
-    return Profile(orders=built, labels=dict(labels) if labels else None)
+    built = {
+        int(i): PreferenceOrder.from_groups(int(i), raw) for i, raw in orders.items()
+    }
+    return profile_from_orders(built, labels=labels)
 
 
 def validate_profile(
@@ -233,7 +327,7 @@ def validate_profile(
     profile = build_profile({i: raw for i, raw in enumerate(raw_orders)}, labels=labels)
     wanted_by_someone: set[AgentId] = set()
     for j in profile.agents:
-        wanted_by_someone.update(profile.orders[j].acceptable - {j})
+        wanted_by_someone.update(profile.orders[j].ranks.keys() - {j})
     for i in profile.agents:
         if i not in wanted_by_someone:
             raise IsolatedAgent(i)
@@ -267,10 +361,10 @@ def compare(profile: Profile, i: AgentId, x: AgentId, y: AgentId) -> Comparison:
 
 def most_acceptable_set(profile: Profile, i: AgentId) -> frozenset[AgentId]:
     """Members of ``i``'s best tie group once ``i`` itself is set aside."""
-    for group in profile.order(i).groups:
-        others = group - {i}
+    for group in profile.order(i).group_slices():
+        others = frozenset(group) - {i}
         if others:
-            return frozenset(others)
+            return others
     return frozenset()
 
 
@@ -279,8 +373,8 @@ def acceptability_graph(profile: Profile) -> AcceptabilityGraph:
     edges = []
     orders = profile.orders
     for i in profile.agents:
-        for j in orders[i].acceptable:
-            if j > i and j in orders and i in orders[j].acceptable:
+        for j in orders[i].ranks:
+            if j > i and j in orders and i in orders[j].ranks:
                 edges.append((i, j))
     edges.sort()
     return AcceptabilityGraph(vertices=profile.agents, edges=tuple(edges))
@@ -303,7 +397,7 @@ def restrict(profile: Profile, removed: Iterable[AgentId]) -> Profile:
         if i not in gone
     }
     emptied = sorted(
-        i for i, order in kept_orders.items() if not (order.acceptable - {i})
+        i for i, order in kept_orders.items() if not order.ranks.keys() - {i}
     )
     if emptied:
         logger.warning(

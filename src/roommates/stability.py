@@ -17,6 +17,7 @@ is needed.
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass
 from enum import Enum
 
@@ -53,7 +54,7 @@ def check_matching(profile: Profile, matching: Matching) -> None:
     for a, b in matching.pairs:
         if a not in orders or b not in orders:
             raise ValueError(f"pair ({a}, {b}) mentions an agent outside the profile")
-        if b not in orders[a].acceptable or a not in orders[b].acceptable:
+        if b not in orders[a].ranks or a not in orders[b].ranks:
             raise ValueError(f"pair ({a}, {b}) is not mutually acceptable")
 
 
@@ -67,20 +68,18 @@ def find_blocking_pairs(profile: Profile, matching: Matching) -> list[BlockingPa
     partner_of = matching.partner_map
     orders = profile.orders
     # Per agent: everyone it would defect to — all acceptable agents when
-    # unmatched, otherwise the agents in strictly earlier tie groups than
-    # its partner.  A pair blocks iff each member lies in the other's set,
-    # so matched partners (equal group) and one-sided crushes drop out
-    # without scanning the full acceptability graph.
-    better: dict[AgentId, frozenset[AgentId] | set[AgentId]] = {}
+    # unmatched, otherwise the members ahead of its partner's tie group.  A
+    # pair blocks iff each member lies in the other's set, so matched
+    # partners (equal group) and one-sided crushes drop out without
+    # scanning the full acceptability graph.
+    better: dict[AgentId, Collection[AgentId]] = {}
     for x in profile.agents:
         px = partner_of.get(x)
-        if px is None:
-            better[x] = orders[x].acceptable
-            continue
         order = orders[x]
-        want: set[AgentId] = set()
-        for group in order.groups[: order.ranks[px]]:
-            want |= group
+        if px is None:
+            better[x] = order.ranks
+            continue
+        want = set(order.members[: order.starts[order.ranks[px]]])
         want.discard(x)
         better[x] = want
     blocking = []
@@ -138,7 +137,7 @@ class _StableSearch:
             local = sorted(index[b] for b in graph.neighbors[a])
             self.nbrs.append(local)
             self.rank.append({q: ranks[self.agents[q]] for q in local})
-        self.maxrank = [len(profile.orders[a].groups) for a in self.agents]
+        self.maxrank = [len(profile.orders[a].starts) for a in self.agents]
         self.can_unmatch = [True] * m
         self.decided = [False] * m
         self.partner = [-1] * m

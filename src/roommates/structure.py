@@ -21,9 +21,10 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from collections import defaultdict
-from collections.abc import Collection, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import combinations, groupby, permutations
+from itertools import combinations, groupby, pairwise, permutations
+from operator import gt, lt
 
 from .errors import TieGroupTooLarge, TiesUnsupported, TooManyAgents
 from .model import AgentId, PreferenceOrder, Profile
@@ -93,7 +94,9 @@ def is_complete(profile: Profile) -> bool:
     """True when every agent ranks every other agent."""
     everyone = profile.agent_set
     return all(
-        order.acceptable | {i} == everyone for i, order in profile.orders.items()
+        len(order.ranks) + (i not in order.ranks) == len(everyone)
+        and everyone.issuperset(order.ranks)
+        for i, order in profile.orders.items()
     )
 
 
@@ -109,7 +112,7 @@ def is_narcissistic(profile: Profile) -> bool:
     and neither does one that merely ties itself with its favorite.
     """
     return all(
-        order.groups and order.groups[0] == frozenset({i})
+        order.members and order.group(0) == (i,)
         for i, order in profile.orders.items()
     )
 
@@ -127,33 +130,20 @@ def is_single_peaked_wrt(profile: Profile, order: OrderLike) -> Verdict:
     any acceptable agent.  On failure the verdict carries the
     lexicographically first violating (agent, x, y, z).
 
-    Runs one linear scan per agent (O(n * |order|) overall).
+    An order passes exactly when its ranks along the axis never rise and
+    then fall, since the largest rank between a rise and a later fall is
+    a valley.  One sort and a few linear passes per agent check that.
     """
     pos = _order_positions(profile, order)
-    violator = None
     for i in sorted(profile.orders):
         ranks = profile.orders[i].ranks
-        if len(ranks) < 3:
-            continue
-        along = sorted(ranks, key=pos.__getitem__)
-        seq = [ranks[a] for a in along]
-        best_left = seq[0]
-        # best_right[t]: best (smallest) rank strictly right of position t
-        best_right = [0] * len(seq)
-        running = seq[-1]
-        for t in range(len(seq) - 2, -1, -1):
-            best_right[t] = running
-            running = min(running, seq[t])
-        for t in range(1, len(seq) - 1):
-            if best_left < seq[t] and best_right[t] < seq[t]:
-                violator = i
-                break
-            best_left = min(best_left, seq[t])
-        if violator is not None:
-            break
-    if violator is None:
-        return Verdict(True)
-    return Verdict(False, _first_valley_witness(profile.orders[violator], pos))
+        seq = list(map(ranks.__getitem__, sorted(ranks, key=pos.__getitem__)))
+        rises = list(map(lt, seq, seq[1:]))
+        if True in rises:
+            k = rises.index(True)
+            if True in map(gt, seq[k:], seq[k + 1 :]):
+                return Verdict(False, _first_valley_witness(profile.orders[i], pos))
+    return Verdict(True)
 
 
 def _first_valley_witness(
@@ -244,27 +234,22 @@ def _scan_crossing_violation(
     return min(violated, default=None)
 
 
-def _doubled_midranks(
-    groups: Sequence[Collection[AgentId]], index: dict[AgentId, int]
-) -> list[int]:
+def _doubled_midranks(order: PreferenceOrder, index: dict[AgentId, int]) -> list[int]:
     """Twice each agent's mid-rank plus one, in a list in ``index`` order.
 
     An agent in a tie group holding positions b .. b+s-1 gets 2b + s, so the
     values order agents as the voter does, ties equal.
     """
     keys = [0] * len(index)
-    before = 0
-    for group in groups:
-        size = len(group)
-        key = 2 * before + size
-        for a in group:
-            keys[index[a]] = key
-        before += size
+    members = order.members
+    for lo, hi in pairwise((*order.starts, len(members))):
+        for a in members[lo:hi]:
+            keys[index[a]] = lo + hi
     return keys
 
 
 def _discord(
-    groups: Sequence[Collection[AgentId]],
+    order: PreferenceOrder,
     index: dict[AgentId, int],
     ku: list[int],
     kv: list[int],
@@ -273,7 +258,7 @@ def _discord(
 
     s is -1, 0 or +1 as the voter puts x ahead of y, ties them, or puts y
     ahead, so a partner the two voters order oppositely counts 2 and one
-    tied by exactly one of them counts 1.  ``groups`` are u's tie groups,
+    tied by exactly one of them counts 1.  ``order`` is u's order,
     ``ku``, ``kv`` the two voters' :func:`_doubled_midranks`, and the result
     is in ``index`` order too.  With P the agents strictly ahead of x in
     both orders and Q those, x included, at or ahead of x in both,
@@ -284,7 +269,7 @@ def _discord(
     """
     out = [a + b for a, b in zip(ku, kv)]
     passed: list[int] = []
-    for group in groups:
+    for group in order.group_slices():
         members = [index[a] for a in group]
         for x in members:
             out[x] -= 2 * bisect_left(passed, kv[x])
@@ -311,13 +296,11 @@ def _kendall_crossing_violation(
     agents = profile.agents
     n = len(agents)
     index = {a: k for k, a in enumerate(agents)}
-    groups = [
-        profile.orders[v].groups for v in sorted(profile.orders, key=pos.__getitem__)
-    ]
-    keys = [_doubled_midranks(g, index) for g in groups]
-    excess = [-d for d in _discord(groups[0], index, keys[0], keys[-1])]
-    for g, ku, kv in zip(groups, keys, keys[1:]):
-        excess = [e + d for e, d in zip(excess, _discord(g, index, ku, kv))]
+    voters = [profile.orders[v] for v in sorted(profile.orders, key=pos.__getitem__)]
+    keys = [_doubled_midranks(order, index) for order in voters]
+    excess = [-d for d in _discord(voters[0], index, keys[0], keys[-1])]
+    for order, ku, kv in zip(voters, keys, keys[1:]):
+        excess = [e + d for e, d in zip(excess, _discord(order, index, ku, kv))]
     x = next((x for x, e in enumerate(excess) if e > 0), None)
     if x is None:
         return None
@@ -401,11 +384,14 @@ def break_ties_fixed(profile: Profile, tiebreak: OrderLike) -> Profile:
     pos = _order_positions(profile, tiebreak)
     new_orders = {}
     for i, order in profile.orders.items():
-        groups: list[frozenset[AgentId]] = []
-        for group in order.groups:
-            for member in sorted(group, key=pos.__getitem__):
-                groups.append(frozenset({member}))
-        new_orders[i] = PreferenceOrder(i, tuple(groups))
+        members = order.members
+        if order.has_tie:
+            members = tuple(
+                m
+                for group in order.group_slices()
+                for m in sorted(group, key=pos.__getitem__)
+            )
+        new_orders[i] = PreferenceOrder(i, members, range(len(members)))
     return Profile(orders=new_orders, labels=profile.labels)
 
 
@@ -431,7 +417,7 @@ def is_sc_wrt(
     if _first_crossing_violation(tiebroken, pos) is None:
         return True
     for i in sorted(profile.orders):
-        for group in profile.orders[i].groups:
+        for group in profile.orders[i].group_slices():
             if len(group) > max_tie_group:
                 raise TieGroupTooLarge(i, len(group), max_tie_group)
     return _sc_exact(profile, pos)
@@ -452,19 +438,19 @@ def _sc_exact(profile: Profile, pos: dict[AgentId, int]) -> bool:
     # listed once, on its first visit.
     strict: dict[int, list[tuple[tuple[AgentId, AgentId], str]]] = {}
 
-    def place_groups(groups: tuple[frozenset[AgentId], ...], g: int, k: int) -> bool:
-        if g == len(groups):
+    def place_groups(order: PreferenceOrder, g: int, k: int) -> bool:
+        if g == len(order.starts):
             return next_voter_step(k + 1)
-        group = sorted(groups[g])
+        group = order.group(g)
         if len(group) == 1:
-            return place_groups(groups, g + 1, k)
+            return place_groups(order, g + 1, k)
         for perm in permutations(group):
             rels = [
                 ((a, b), _A) if a < b else ((b, a), _B)
                 for a, b in combinations(perm, 2)
             ]
             trail: list = []
-            if _extend_runs(runs, rels, trail) and place_groups(groups, g + 1, k):
+            if _extend_runs(runs, rels, trail) and place_groups(order, g + 1, k):
                 return True
             _undo_runs(runs, trail)
         return False
@@ -479,7 +465,7 @@ def _sc_exact(profile: Profile, pos: dict[AgentId, int]) -> bool:
                 (pair, rel) for pair, rel in _voter_relations(order) if rel != _T
             ]
         trail: list = []
-        if _extend_runs(runs, rels, trail) and place_groups(order.groups, 0, k):
+        if _extend_runs(runs, rels, trail) and place_groups(order, 0, k):
             return True
         _undo_runs(runs, trail)
         return False
@@ -655,8 +641,7 @@ def is_worst_restricted(profile: Profile) -> bool:
         order = profile.orders[i]
         if order.has_tie:
             raise TiesUnsupported(i)
-        candidates = [next(iter(g)) for g in reversed(order.groups)]
-        worst = next((a for a in candidates if a != i), None)
+        worst = next((a for a in reversed(order.members) if a != i), None)
         if worst is not None:
             worsts.add(worst)
     return len(worsts) <= 2

@@ -7,6 +7,7 @@ formats are designed to pipe straight back into the parsers.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -175,6 +176,31 @@ def test_solve_trace_narrates_each_round(workdir):
     )
     # the trace lines are comments, so the output still parses
     assert parse_matching(result.stdout) == Matching([(0, 3), (1, 2)])
+
+
+def test_solve_and_verify_keep_their_bytes_on_a_generated_profile(tmp_path):
+    # Digests recorded from the CLI before preference orders were stored
+    # flat: the n=200 tied single-peaked profile of seed 3, its greedy
+    # solution, and that solution with the first two pairs crossed over.
+    profile, _ = gen_narcissistic_sp(GeneratorConfig(200, True, 0.5, 3))
+    (tmp_path / "p.prof").write_text(serialize_profile(profile), encoding="utf-8")
+    solved = run("solve", "--trace", "p.prof", cwd=tmp_path)
+    assert solved.returncode == 0 and solved.stderr == ""
+    assert sha1(solved.stdout) == "d46530cda29a160c9e70459dee75abf488ec1951"
+    pairs = parse_matching(solved.stdout).pairs
+    (tmp_path / "m.match").write_text(serialize_matching(Matching(pairs)), encoding="utf-8")
+    verified = run("verify", "p.prof", "m.match", cwd=tmp_path)
+    assert (verified.returncode, verified.stdout, verified.stderr) == (0, "STABLE\n", "")
+    (a, b), (c, d) = pairs[:2]
+    crossed = Matching([(a, c), (b, d), *pairs[2:]])
+    (tmp_path / "x.match").write_text(serialize_matching(crossed), encoding="utf-8")
+    blocked = run("verify", "p.prof", "x.match", cwd=tmp_path)
+    assert blocked.returncode == 1 and blocked.stderr == ""
+    assert sha1(blocked.stdout) == "64b15cc0caa8d0cab4bb83b744f3a4028d5a11af"
+
+
+def sha1(text: str) -> str:
+    return hashlib.sha1(text.encode()).hexdigest()
 
 
 def test_solve_bt_is_an_alias_for_greedy(workdir):

@@ -3,20 +3,26 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roommates import (
     FIXTURE_NAMES,
     AsymmetricAcceptability,
     BetweennessInstance,
+    GeneratorConfig,
     Graph,
     Matching,
     ParseError,
+    RoommatesError,
     WitnessOrder,
     build_profile,
     fixture,
     gen_degree3_graph,
+    gen_narcissistic_sp,
     parse_betweenness,
     parse_graph,
     parse_matching,
@@ -105,6 +111,70 @@ def test_parse_errors_carry_line_numbers():
 def test_semantic_violations_keep_their_own_type():
     with pytest.raises(AsymmetricAcceptability):
         parse_profile("agents 2\npref 0: 1\npref 1:\n")
+
+
+def test_the_header_alone_sets_no_work():
+    text = f"agents {10**12}\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as info:
+            parse_profile(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == "no pref line for agent 0"
+    assert peak < 2**20
+
+
+def test_parsed_orders_hold_at_most_120_bytes_per_entry():
+    profile, _ = gen_narcissistic_sp(GeneratorConfig(200, True, 0.5, 3))
+    text = serialize_profile(profile)
+    entries = sum(len(order.ranks) for order in profile.orders.values())
+    del profile
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        parsed = parse_profile(text)
+        live = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert parsed.n_agents == 200
+    assert live / entries <= 120
+
+
+def test_any_integer_spelling_reads_as_its_value():
+    text = (
+        "agents 12\n"
+        + "".join(f"pref {i:03d}: {i} | {i ^ 1:03d}\n" for i in range(10))
+        + "pref 1_0: 1_0 | +11\npref 11: \u0661\u0661 | 10\n"
+    )
+    plain = "agents 12\n" + "".join(f"pref {i}: {i} | {i ^ 1}\n" for i in range(12))
+    assert parse_profile(text) == parse_profile(plain)
+
+
+def test_repeats_inside_a_group_merge():
+    profile = parse_profile("agents 2\npref 0: 0 | 1 1\npref 1: 1 0 0\n")
+    assert profile.order(0).groups == ({0}, {1})
+    assert profile.order(1).groups == ({0, 1},)
+
+
+@pytest.mark.parametrize(
+    "text,error",
+    [
+        # Repeats across groups are errors, reported for the first such
+        # line once every line has parsed.
+        ("agents 3\npref 0: 0 | 1 | 1\npref 1: 1 | 0 | 1\npref 2: 2\n",
+         "agent 1 appears twice in the order of agent 0"),
+        ("agents 2\npref 0: 0 | 0\npref 1: 1 | x\n", "line 3: expected an integer"),
+        ("agents 3\npref 0: 0 | 1 | 0\npref 2: 2\n", "no pref line for agent 1"),
+        ("agents 3\npref 0: 0 | 1 | 2\npref 1: 1 | 0 | 0\npref 2: 2\n",
+         "agent 0 appears twice in the order of agent 1"),
+    ],
+)
+def test_first_error_in_file_order(text, error):
+    with pytest.raises(RoommatesError) as info:
+        parse_profile(text)
+    assert error in str(info.value)
 
 
 def test_serialization_needs_dense_ids():
@@ -224,3 +294,126 @@ def test_roles_parse_errors():
         parse_roles("role 0 a\nrole 0 b\n")
     with pytest.raises(ParseError, match="expected 'role"):
         parse_roles("role 0\n")
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing
+# ---------------------------------------------------------------------------
+
+PARSERS = [
+    (parse_profile, serialize_profile),
+    (parse_graph, serialize_graph),
+    (parse_betweenness, serialize_betweenness),
+    (parse_matching, serialize_matching),
+    (parse_order, serialize_order),
+    (parse_roles, serialize_roles),
+]
+
+KEYWORDS = ["agents", "pref", "vertices", "edge", "universe", "triple", "pair",
+            "order", "role"]
+TOKENS = KEYWORDS + ["0", "1", "2", "3", "5", "10", "-1", "007", "1_0", "+2",
+                     "\u0663", "x", "|", ":", "#", " ", "\t", "\n", "\n\n"]
+
+
+def token_texts():
+    """Text over the formats' own vocabulary, joined with or without spaces."""
+    return st.builds(
+        lambda tokens, sep: sep.join(tokens),
+        st.lists(st.sampled_from(TOKENS), max_size=40),
+        st.sampled_from(["", " "]),
+    )
+
+
+def _assert_parses_or_fails_typed(parse, serialize, text):
+    try:
+        parsed = parse(text)
+    except RoommatesError:
+        return
+    canonical = serialize(parsed)
+    assert serialize(parse(canonical)) == canonical
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    header=st.sampled_from(["", "agents 3\n", "vertices 4\n", "universe 4\n"]),
+    text=token_texts(),
+)
+def test_every_parser_returns_an_object_or_a_typed_error(header, text):
+    for parse, serialize in PARSERS:
+        _assert_parses_or_fails_typed(parse, serialize, header + text)
+
+
+def _spellings(token: str) -> list[str]:
+    """Ways to write the id ``token`` that int() reads as the same value."""
+    value = int(token)
+    return [token, f"{value:03d}", f"+{value}", "_".join(token),
+            "".join(chr(0x660 + int(c)) for c in token)]
+
+
+@st.composite
+def edited_profile_texts(draw):
+    """A valid profile's text, then a few token- and line-level edits."""
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    n = draw(st.integers(0, 6))
+    lines = serialize_profile(random_profile(rng, n)).splitlines() if n else ["agents 0"]
+    for _ in range(draw(st.integers(0, 4))):
+        if not lines:
+            break
+        k = draw(st.integers(0, len(lines) - 1))
+        words = lines[k].split(" ")
+        w = draw(st.integers(0, len(words) - 1))
+        edit = draw(st.sampled_from(
+            ["spell", "repeat", "move", "bar", "junk", "range", "drop", "swap",
+             "comment", "squeeze"]))
+        if edit == "spell" and words[w].isdigit():
+            words[w] = draw(st.sampled_from(_spellings(words[w])))
+        elif edit == "repeat" and words[w].isdigit():
+            words.insert(w, words[w])
+        elif edit == "move" and words[w].isdigit():
+            words.insert(draw(st.integers(2, len(words))), words[w])
+        elif edit == "bar":
+            words.insert(w, "|")
+        elif edit == "junk":
+            words[w] = draw(st.sampled_from(["x", "-1", "3.0", "", ":"]))
+        elif edit == "range":
+            words[w] = str(n + draw(st.integers(0, 3)))
+        elif edit == "drop":
+            del lines[k]
+            continue
+        elif edit == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[k], lines[j] = lines[j], lines[k]
+            continue
+        elif edit == "comment":
+            words.append("# pref 0: 1")
+        elif edit == "squeeze":
+            words = [" ".join(words).replace(" | ", "|")]
+        lines[k] = " ".join(words)
+    return "\n".join(lines) + "\n"
+
+
+def reference_groups(text: str) -> dict[int, tuple[frozenset[int], ...]]:
+    """Each pref line's tie groups, read the plain way (valid input only)."""
+    groups = {}
+    for raw in text.splitlines():
+        body = raw.split("#", 1)[0].strip()
+        if body.startswith("pref"):
+            head, _, tail = body.partition(":")
+            chunks = tail.split("|") if tail.strip() else []
+            groups[int(head.split()[1])] = tuple(
+                frozenset(int(t) for t in chunk.split()) for chunk in chunks
+            )
+    return groups
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=edited_profile_texts())
+def test_edited_profiles_parse_like_the_plain_reader(text):
+    try:
+        profile = parse_profile(text)
+    except RoommatesError:
+        return
+    assert {i: profile.order(i).groups for i in profile.agents} == reference_groups(text)
+    canonical = serialize_profile(profile)
+    assert parse_profile(canonical) == profile
+    assert serialize_profile(parse_profile(canonical)) == canonical

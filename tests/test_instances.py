@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from roommates import (
@@ -15,6 +17,7 @@ from roommates import (
     is_complete,
     is_narcissistic,
     is_single_peaked_wrt,
+    serialize_profile,
 )
 
 from oracles import single_peaked_by_definition
@@ -106,6 +109,33 @@ def test_tie_controls():
         for s in range(20)
     ]
     assert any(has_ties(p) for p in always)
+
+
+# SHA-1 of serialize_profile(gen_narcissistic_sp(GeneratorConfig(n, ties, 0.5,
+# seed))[0]), recorded from the generator that sorted every agent's partners
+# by distance, before the axis walk replaced it.
+PINNED_SP_DIGESTS = {
+    (2, False, 1): "2547c76c866bd346369e2e58b7144412b804c979",
+    (2, False, 3): "2547c76c866bd346369e2e58b7144412b804c979",
+    (2, True, 1): "2547c76c866bd346369e2e58b7144412b804c979",
+    (2, True, 3): "2547c76c866bd346369e2e58b7144412b804c979",
+    (28, False, 1): "f4732412fea83c9e8dfa61fca48b883112de39b3",
+    (28, False, 3): "b04de8ab76661e23cad1085f76b6827c6cc3edf5",
+    (28, True, 1): "2a93db6d4b411527c3b6371de9d1d325840ec8a0",
+    (28, True, 3): "696492c40032b1d8c8e7bb633f306ba79763282c",
+    (200, False, 1): "98211b31e8e60d5984186c0ac86c509ccc792591",
+    (200, False, 3): "3620428b481f87f00f5bafa53fe07bd2df52cdcf",
+    (200, True, 1): "98dc1511e870f6641ff1b310276e53c6ab849c8b",
+    (200, True, 3): "19e96710488e761ff956201e94009c3f2b6b2391",
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_SP_DIGESTS))
+def test_generated_profiles_keep_their_bytes(key):
+    n, ties, seed = key
+    profile, _ = gen_narcissistic_sp(GeneratorConfig(n, ties, 0.5, seed))
+    text = serialize_profile(profile)
+    assert hashlib.sha1(text.encode()).hexdigest() == PINNED_SP_DIGESTS[key]
 
 
 def test_generator_config_rejects_bad_values():
