@@ -69,11 +69,9 @@ def parse_profile(text: str) -> Profile:
         raise ParseError("empty profile file")
     line_no, body = lines[0]
     n = _count_line(body, line_no, "agents")
-    ids: list[AgentId] = []
     table: dict[str, AgentId] = {}
     if len(lines) - 1 == n:
-        ids = list(range(n))
-        table = dict(zip(map(str, ids), ids))
+        table = dict(zip(map(str, range(n)), range(n)))
         table["|"] = -1
     orders: dict[AgentId, PreferenceOrder | list[list[AgentId]]] = {}
     for line_no, body in lines[1:]:
@@ -86,7 +84,7 @@ def parse_profile(text: str) -> Profile:
             raise ParseError(f"agent {agent} outside 0..{n - 1}", line_no)
         if agent in orders:
             raise ParseError(f"duplicate pref line for agent {agent}", line_no)
-        order = _flat_order(ids[agent], tail, table, ids) if table else None
+        order = _flat_order(agent, tail, table) if table else None
         orders[agent] = _raw_groups(tail, n, line_no) if order is None else order
     if len(orders) != n:
         missing = next(i for i in range(n) if i not in orders)
@@ -99,7 +97,7 @@ def parse_profile(text: str) -> Profile:
 
 
 def _flat_order(
-    agent: AgentId, tail: str, table: dict[str, AgentId], ids: list[AgentId]
+    agent: AgentId, tail: str, table: dict[str, AgentId]
 ) -> PreferenceOrder | None:
     """The order a ``pref`` line's right-hand side spells, or None.
 
@@ -111,29 +109,25 @@ def _flat_order(
         values = [table[token] for token in tail.replace("|", " | ").split()]
     except KeyError:
         return None
-    members = values[::2]
-    # A line without ties alternates members and bars.
-    if len(values) % 2 and values.count(-1) == len(values) // 2 and -1 not in members:
-        starts: list[int] | range = range(len(members))
-    else:
-        members, starts = [], []
-        opened = False
-        for value in values:
-            if value >= 0:
-                if not opened:
-                    starts.append(len(members))
-                    opened = True
-                members.append(value)
-            elif opened:
-                opened = False
-            else:
-                return None
-        if values and not opened:
+    members: list[AgentId] = []
+    starts: list[int] = []
+    opened = False
+    for value in values:
+        if value >= 0:
+            if not opened:
+                starts.append(len(members))
+                opened = True
+            members.append(value)
+        elif opened:
+            opened = False
+        else:
             return None
-        for lo, hi in pairwise((*starts, len(members))):
-            if hi - lo > 1:
-                members[lo:hi] = sorted(members[lo:hi])
-    order = PreferenceOrder(agent, tuple(members), starts, ids)
+    if values and not opened:
+        return None
+    for lo, hi in pairwise((*starts, len(members))):
+        if hi - lo > 1:
+            members[lo:hi] = sorted(members[lo:hi])
+    order = PreferenceOrder(agent, tuple(members), starts)
     return order if len(order.ranks) == len(members) else None
 
 

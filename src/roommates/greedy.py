@@ -57,11 +57,8 @@ def find_mutual_most_acceptable_pair(profile: Profile) -> Pair | None:
 
 
 def _check_preconditions(profile: Profile) -> None:
-    everyone = profile.agent_set
     for i in profile.agents:
-        ranks = profile.orders[i].ranks
-        ranked = len(ranks) + (i not in ranks)
-        if ranked != len(everyone) or not everyone.issuperset(ranks):
+        if profile.orders[i].ranks.keys() | {i} != profile.agent_set:
             raise NotComplete(i)
     for i in profile.agents:
         order = profile.orders[i]

@@ -123,8 +123,7 @@ def gen_narcissistic_sp(config: GeneratorConfig) -> tuple[Profile, WitnessOrder]
     rng = random.Random(config.seed)
     n = config.n_agents
     positions = rng.sample(range(10 * n), n)
-    ids = list(range(n))
-    axis = sorted(ids, key=positions.__getitem__)
+    axis = sorted(range(n), key=positions.__getitem__)
     place = [0] * n
     for p, a in enumerate(axis):
         place[a] = p
@@ -136,7 +135,7 @@ def gen_narcissistic_sp(config: GeneratorConfig) -> tuple[Profile, WitnessOrder]
     for i in range(n):
         here = positions[i]
         left, right = place[i] - 1, place[i] + 1
-        members = [ids[i]]
+        members = [axis[place[i]]]
         starts = [0]
         while left >= 0 or right < n:
             if right == n:
@@ -163,7 +162,7 @@ def gen_narcissistic_sp(config: GeneratorConfig) -> tuple[Profile, WitnessOrder]
                     members += (a, b)
                 left -= 1
                 right += 1
-        orders[i] = PreferenceOrder(ids[i], tuple(members), starts, ids)
+        orders[i] = PreferenceOrder(i, tuple(members), starts)
 
     profile = profile_from_orders(orders)
     witness = WitnessOrder(axis)

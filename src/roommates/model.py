@@ -18,7 +18,7 @@ from __future__ import annotations
 import logging
 import warnings
 from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import accumulate, pairwise
@@ -46,6 +46,21 @@ class Comparison(Enum):
     INCOMPARABLE = "incomparable"
 
 
+# Python caches only small int objects, so rank values and offsets are
+# taken from one list that grows on demand: every order stores each
+# number once instead of once per entry.
+_INTS: list[int] = []
+
+
+def _ints(size: int) -> list[int]:
+    """A list whose item k is k, at least ``size`` long, shared by all orders."""
+    global _INTS
+    ints = _INTS
+    if len(ints) < size:
+        ints = _INTS = ints + list(range(len(ints), max(size, 2 * len(ints))))
+    return ints
+
+
 @dataclass(frozen=True, slots=True)
 class PreferenceOrder:
     """One agent's ranked tie groups, stored flat, most preferred group first.
@@ -56,20 +71,20 @@ class PreferenceOrder:
     ``ranks`` maps each member to its group's index and is built with the
     order.  ``groups`` and ``acceptable`` are views derived on each call.
 
-    The constructor trusts its input; :meth:`from_groups` checks it.
-    ``shared``, when given, supplies the int objects used as rank values
-    and offsets, so that orders built together store each number once.
+    Build orders with :meth:`from_groups`.  The constructor is the library's
+    internal fast path: it trusts that ``starts`` are valid offsets and that
+    each group's members are ascending, and an order built from unsorted
+    groups compares unequal to the same order built by :meth:`from_groups`.
     """
 
     owner: AgentId
     members: tuple[AgentId, ...]
     starts: Sequence[int]
     ranks: dict[AgentId, int] = field(init=False, repr=False, compare=False)
-    shared: InitVar[Sequence[int]] = ()
 
-    def __post_init__(self, shared: Sequence[int]) -> None:
+    def __post_init__(self) -> None:
         size = len(self.members)
-        numbers = shared if len(shared) >= size else range(size)
+        numbers = _ints(size)
         if len(self.starts) == size:
             starts: Sequence[int] = range(size)
             values: Iterable[int] = numbers
@@ -249,20 +264,12 @@ class Matching:
 def _check_symmetry(orders: Mapping[AgentId, PreferenceOrder]) -> None:
     """Raise AsymmetricAcceptability for the first one-sided pair in id order.
 
-    A profile in which every agent ranks every agent passes at once.
-    Otherwise one pass over every entry confirms a symmetric profile, and
-    only a failing one is searched again in sorted order for the first
-    offending pair.
+    A profile in which every agent ranks every agent is symmetric, and one
+    key-set comparison per order confirms it.  Any other profile is
+    searched in sorted order.
     """
     everyone = orders.keys()
     if all(order.ranks.keys() == everyone for order in orders.values()):
-        return
-    tables = {i: order.ranks for i, order in orders.items()}
-    empty: dict[AgentId, int] = {}
-    for i, order in orders.items():
-        if not all([i in tables.get(j, empty) for j in order.members]):
-            break
-    else:
         return
     for i in sorted(orders):
         for j in sorted(orders[i].ranks):

@@ -94,9 +94,7 @@ def is_complete(profile: Profile) -> bool:
     """True when every agent ranks every other agent."""
     everyone = profile.agent_set
     return all(
-        len(order.ranks) + (i not in order.ranks) == len(everyone)
-        and everyone.issuperset(order.ranks)
-        for i, order in profile.orders.items()
+        order.ranks.keys() | {i} == everyone for i, order in profile.orders.items()
     )
 
 

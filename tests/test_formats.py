@@ -17,6 +17,7 @@ from roommates import (
     Graph,
     Matching,
     ParseError,
+    PreferenceOrder,
     RoommatesError,
     WitnessOrder,
     build_profile,
@@ -150,6 +151,30 @@ def test_any_integer_spelling_reads_as_its_value():
     )
     plain = "agents 12\n" + "".join(f"pref {i}: {i} | {i ^ 1}\n" for i in range(12))
     assert parse_profile(text) == parse_profile(plain)
+
+
+def test_from_groups_and_the_parser_build_equal_orders():
+    rng = random.Random(11)
+    for n in range(1, 9):
+        for p_tie in (0.0, 0.5):
+            lines, raw = [f"agents {n}"], {}
+            for i in range(n):
+                agents = list(range(n))
+                rng.shuffle(agents)
+                groups = [[agents[0]]]
+                for a in agents[1:]:
+                    if rng.random() < p_tie:
+                        groups[-1].append(a)
+                    else:
+                        groups.append([a])
+                raw[i] = groups
+                lines.append(f"pref {i}: " + " | ".join(" ".join(map(str, g)) for g in groups))
+            parsed = parse_profile("\n".join(lines) + "\n")
+            for i, groups in raw.items():
+                built = PreferenceOrder.from_groups(i, groups)
+                assert parsed.order(i) == built
+                assert parsed.order(i).ranks == built.ranks
+            assert parsed == build_profile(raw)
 
 
 def test_repeats_inside_a_group_merge():
