@@ -4,8 +4,8 @@ Results go to stdout in the package's file formats (so they can be piped
 straight back in); diagnostics go to stderr.  Exit codes: 0 when the
 requested thing was found or done, 1 when a search legitimately came up
 empty (no stable matching, a blocked matching), 2 on any error, reported
-as a single ``error: <Type>: <message>`` line.  An unexpected failure, such
-as a RecursionError, reads ``error: InternalError: <Type>: <message>``.
+as a single ``error: <Type>: <message>`` line.  An unexpected exception reads
+``error: InternalError: <Type>: <message>``.
 
 The enumeration budget comes from --budget when given, else from the
 SR_SEARCH_BUDGET environment variable, else a built-in default.
@@ -321,8 +321,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
-        # Exit status 1 means "ran fine, answer negative", so a crash such
-        # as a RecursionError must not fall through to Python's default 1.
+        # Exit status 1 means "ran fine, answer negative", so a crash must
+        # not fall through to Python's default 1.
         print(f"error: InternalError: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

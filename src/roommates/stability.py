@@ -17,9 +17,10 @@ is needed.
 
 from __future__ import annotations
 
-from collections.abc import Collection
+from collections.abc import Collection, Iterator
 from dataclasses import dataclass
 from enum import Enum
+from math import inf
 
 from .errors import BudgetExceeded
 from .model import (
@@ -30,6 +31,31 @@ from .model import (
 )
 
 DEFAULT_SEARCH_BUDGET = 10_000_000
+
+
+def _depth_first(root: Iterator, budget: float = inf) -> bool:
+    """Run a backtracking search on an explicit stack; True if a frame said so.
+
+    Frames are generators.  A frame yields a child frame to descend into it
+    and True to end the whole search; the code after a ``yield`` undoes that
+    branch once the child is exhausted.  Children count as search nodes, and
+    passing ``budget`` of them raises BudgetExceeded.
+    """
+    stack = [root]
+    nodes = 0
+    while stack:
+        # One step of the top frame: it descends, stops, or is exhausted.
+        for child in stack[-1]:
+            if child is True:
+                return True
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceeded(budget)
+            stack.append(child)
+            break
+        else:
+            stack.pop()
+    return False
 
 
 class BlockingReason(Enum):
@@ -118,14 +144,10 @@ def is_perfect(profile: Profile, matching: Matching) -> bool:
 # Exhaustive search
 # ---------------------------------------------------------------------------
 
-class _Stop(Exception):
-    """Internal: unwind the search once enough matchings were found."""
-
-
 class _StableSearch:
     """Backtracking enumeration of all stable matchings of one profile."""
 
-    def __init__(self, profile: Profile, budget: int):
+    def __init__(self, profile: Profile):
         graph = acceptability_graph(profile)
         self.agents = profile.agents
         m = len(self.agents)
@@ -141,64 +163,42 @@ class _StableSearch:
         self.can_unmatch = [True] * m
         self.decided = [False] * m
         self.partner = [-1] * m
-        self.undecided = m
-        self.budget = budget
-        self.nodes = 0
         self.found: list[Matching] = []
-        self.limit: int | None = None
 
-    def run(self, limit: int | None = None) -> list[Matching]:
-        self.limit = limit
-        try:
-            self._branch()
-        except _Stop:
-            pass
-        unique = sorted(set(self.found), key=lambda m: m.pairs)
-        return unique
+    def run(self, budget: int, first_only: bool = False) -> list[Matching]:
+        _depth_first(self._frame(first_only, len(self.agents)), budget)
+        return sorted(set(self.found), key=lambda m: m.pairs)
 
     # -- propagation ------------------------------------------------------
 
-    def _oblige(self, z: int, threshold: int, trail: list[tuple[int, int]],
-                flags: list[int]) -> None:
-        """Force undecided ``z`` to end up matched at rank <= threshold."""
-        if self.maxrank[z] > threshold:
-            trail.append((z, self.maxrank[z]))
-            self.maxrank[z] = threshold
-        if self.can_unmatch[z]:
-            flags.append(z)
-            self.can_unmatch[z] = False
+    def _decide(self, x: int, q: int) -> list[tuple[list, int, object]]:
+        """Give ``x`` partner ``q`` (-1: none); return the trail that undoes it.
 
-    def _apply_match(self, x: int, q: int):
-        self.decided[x] = self.decided[q] = True
+        Trail entries are (list, index, old value).  Every undecided
+        neighbor that a newly decided agent ranks above its partner (above
+        staying single: every neighbor) must end up matched at least as
+        well as it ranks that agent.
+        """
+        members = (x, q) if q >= 0 else (x,)
+        trail: list[tuple[list, int, object]] = []
+        for a in members:
+            trail.append((self.decided, a, False))
+            self.decided[a] = True
         self.partner[x] = q
-        self.partner[q] = x
-        self.undecided -= 2
-        trail: list[tuple[int, int]] = []
-        flags: list[int] = []
-        for a, b in ((x, q), (q, x)):
+        if q >= 0:
+            self.partner[q] = x
+        for a in members:
             rank_a = self.rank[a]
-            limit = rank_a[b]
+            limit = rank_a.get(self.partner[a], inf)
             for z in self.nbrs[a]:
                 if not self.decided[z] and rank_a[z] < limit:
-                    self._oblige(z, self.rank[z][a], trail, flags)
-        return trail, flags
-
-    def _apply_unmatched(self, x: int):
-        self.decided[x] = True
-        self.partner[x] = -1
-        self.undecided -= 1
-        trail: list[tuple[int, int]] = []
-        flags: list[int] = []
-        for z in self.nbrs[x]:
-            if not self.decided[z]:
-                self._oblige(z, self.rank[z][x], trail, flags)
-        return trail, flags
-
-    def _undo(self, trail: list[tuple[int, int]], flags: list[int]) -> None:
-        for z, old in reversed(trail):
-            self.maxrank[z] = old
-        for z in flags:
-            self.can_unmatch[z] = True
+                    if self.maxrank[z] > self.rank[z][a]:
+                        trail.append((self.maxrank, z, self.maxrank[z]))
+                        self.maxrank[z] = self.rank[z][a]
+                    if self.can_unmatch[z]:
+                        trail.append((self.can_unmatch, z, True))
+                        self.can_unmatch[z] = False
+        return trail
 
     # -- search -----------------------------------------------------------
 
@@ -213,8 +213,11 @@ class _StableSearch:
             and self.rank[q][x] <= self.maxrank[q]
         ]
 
-    def _pick_agent(self) -> tuple[int, list[int]] | None:
-        """Undecided agent with the fewest options (None = a dead end)."""
+    def _pick_agent(self) -> tuple[int, list[int]]:
+        """Undecided agent with the fewest options.
+
+        At a dead end it is one with no options that may not stay single.
+        """
         best: tuple[int, list[int]] | None = None
         best_size = None
         for x in range(len(self.agents)):
@@ -223,50 +226,32 @@ class _StableSearch:
             options = self._choices(x)
             size = len(options) + (1 if self.can_unmatch[x] else 0)
             if size == 0:
-                return None
+                return x, options
             if best_size is None or size < best_size:
                 best, best_size = (x, options), size
                 if size == 1:
                     break
         return best
 
-    def _emit(self) -> None:
-        pairs = [
-            (self.agents[i], self.agents[self.partner[i]])
-            for i in range(len(self.agents))
-            if self.partner[i] > i
-        ]
-        self.found.append(Matching(pairs))
-        if self.limit is not None and len(self.found) >= self.limit:
-            raise _Stop
-
-    def _branch(self) -> None:
-        if self.undecided == 0:
-            self._emit()
+    def _frame(self, first_only: bool, undecided: int):
+        """A search frame for :func:`_depth_first`: one decision per child."""
+        if not undecided:
+            self.found.append(Matching([
+                (self.agents[i], self.agents[q])
+                for i, q in enumerate(self.partner)
+                if q > i
+            ]))
+            if first_only:
+                yield True
             return
-        picked = self._pick_agent()
-        if picked is None:
-            return
-        x, options = picked
-        for q in options:
-            self._count_node()
-            undo = self._apply_match(x, q)
-            self._branch()
-            self._undo(*undo)
-            self.decided[x] = self.decided[q] = False
-            self.undecided += 2
+        x, options = self._pick_agent()
         if self.can_unmatch[x]:
-            self._count_node()
-            undo = self._apply_unmatched(x)
-            self._branch()
-            self._undo(*undo)
-            self.decided[x] = False
-            self.undecided += 1
-
-    def _count_node(self) -> None:
-        self.nodes += 1
-        if self.nodes > self.budget:
-            raise BudgetExceeded(self.budget)
+            options.append(-1)
+        for q in options:
+            trail = self._decide(x, q)
+            yield self._frame(first_only, undecided - (2 if q >= 0 else 1))
+            for values, i, old in reversed(trail):
+                values[i] = old
 
 
 def enumerate_stable_matchings(
@@ -277,14 +262,14 @@ def enumerate_stable_matchings(
     Raises BudgetExceeded when the backtracking search would pass ``budget``
     decision nodes.
     """
-    return _StableSearch(profile, budget).run()
+    return _StableSearch(profile).run(budget)
 
 
 def exists_stable_matching(
     profile: Profile, *, budget: int = DEFAULT_SEARCH_BUDGET
 ) -> tuple[bool, Matching | None]:
     """Early-exit wrapper: (True, witness) or (False, None)."""
-    found = _StableSearch(profile, budget).run(limit=1)
+    found = _StableSearch(profile).run(budget, first_only=True)
     if found:
         return True, found[0]
     return False, None

@@ -28,6 +28,7 @@ from operator import gt, lt
 
 from .errors import TieGroupTooLarge, TiesUnsupported, TooManyAgents
 from .model import AgentId, PreferenceOrder, Profile
+from .stability import _depth_first
 
 OrderLike = "WitnessOrder | Sequence[AgentId]"
 
@@ -430,45 +431,45 @@ def _sc_exact(profile: Profile, pos: dict[AgentId, int]) -> bool:
     callers go through :func:`is_sc_wrt`, which guards group sizes and
     handles the common cases cheaply.
     """
-    voters = sorted(profile.orders, key=pos.__getitem__)
+    voters = [profile.orders[v] for v in sorted(profile.orders, key=pos.__getitem__)]
     runs: defaultdict[tuple[AgentId, AgentId], str] = defaultdict(str)
     # Backtracking revisits voters, so each one's strict relations are
     # listed once, on its first visit.
     strict: dict[int, list[tuple[tuple[AgentId, AgentId], str]]] = {}
 
-    def place_groups(order: PreferenceOrder, g: int, k: int) -> bool:
-        if g == len(order.starts):
-            return next_voter_step(k + 1)
-        group = order.group(g)
-        if len(group) == 1:
-            return place_groups(order, g + 1, k)
-        for perm in permutations(group):
-            rels = [
-                ((a, b), _A) if a < b else ((b, a), _B)
-                for a, b in combinations(perm, 2)
-            ]
-            trail: list = []
-            if _extend_runs(runs, rels, trail) and place_groups(order, g + 1, k):
-                return True
-            _undo_runs(runs, trail)
-        return False
-
-    def next_voter_step(k: int) -> bool:
-        if k == len(voters):
-            return True
-        order = profile.orders[voters[k]]
-        rels = strict.get(k)
-        if rels is None:
-            rels = strict[k] = [
-                (pair, rel) for pair, rel in _voter_relations(order) if rel != _T
-            ]
+    def frame(k: int, g: int):
+        # Voters before k and voter k's groups before g are placed.  Voters
+        # without a tie group past g are placed here, under one trail.
         trail: list = []
-        if _extend_runs(runs, rels, trail) and place_groups(order, 0, k):
-            return True
+        while k < len(voters):
+            order = voters[k]
+            if g == 0:
+                if k not in strict:
+                    strict[k] = [p for p in _voter_relations(order) if p[1] != _T]
+                if not _extend_runs(runs, strict[k], trail):
+                    break
+            tied = next(
+                (h for h in range(g, len(order.starts)) if len(order.group(h)) > 1),
+                None,
+            )
+            if tied is None:
+                k, g = k + 1, 0
+                continue
+            for perm in permutations(order.group(tied)):
+                rels = [
+                    ((a, b), _A) if a < b else ((b, a), _B)
+                    for a, b in combinations(perm, 2)
+                ]
+                perm_trail: list = []
+                if _extend_runs(runs, rels, perm_trail):
+                    yield frame(k, tied + 1)
+                _undo_runs(runs, perm_trail)
+            break
+        else:
+            yield True
         _undo_runs(runs, trail)
-        return False
 
-    return next_voter_step(0)
+    return _depth_first(frame(0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -517,38 +518,29 @@ def find_single_peaked_order(
     dead: set[int] = set()
     prefix_order: list[AgentId] = []
 
-    def placeable(y: int, placed: int) -> bool:
-        for b in better_masks[y]:
-            inter = b & placed
-            if inter and inter != b:
-                return False
-        return True
-
-    def search(placed: int) -> bool:
+    def frame(placed: int):
         if placed == full:
-            return True
+            yield True
+            return
         if placed in dead:
-            return False
+            return
         for y in range(len(agents)):
             bit = 1 << y
-            if placed & bit:
-                continue
-            if not constrained & bit:
-                # y is in no constraint: placing it now is safe and smallest.
+            # An agent in no constraint is safe to place now, and smallest.
+            # Any other agent needs each of its strictly-better sets placed
+            # wholly or not at all.
+            free = not constrained & bit
+            if not placed & bit and (
+                free or all((b & placed) in (0, b) for b in better_masks[y])
+            ):
                 prefix_order.append(agents[y])
-                if search(placed | bit):
-                    return True
+                yield frame(placed | bit)
                 prefix_order.pop()
-                break
-            if placeable(y, placed):
-                prefix_order.append(agents[y])
-                if search(placed | bit):
-                    return True
-                prefix_order.pop()
+                if free:
+                    break
         dead.add(placed)
-        return False
 
-    if search(0):
+    if _depth_first(frame(0)):
         return WitnessOrder(prefix_order)
     return None
 
@@ -585,36 +577,28 @@ def find_tssc_order(
     # Per-pair state: the collapsed run string seen so far.  A placement is
     # admissible while every string stays in _CROSSING_RUNS.
     state: list[str] = [""] * len(pair_rel)
-    prefix_order: list[AgentId] = []
-    free = {a for a in agents if not voter_rels[a]}
+    # The axis so far, kept in a dict for its order and its fast lookups.
+    placed: dict[AgentId, None] = {}
 
-    def search(placed: set[AgentId]) -> bool:
+    def frame():
         if len(placed) == len(agents):
-            return True
+            yield True
+            return
         for v in agents:
             if v in placed:
                 continue
-            if v in free:
-                prefix_order.append(v)
-                placed.add(v)
-                if search(placed):
-                    return True
-                placed.discard(v)
-                prefix_order.pop()
-                return False
             trail: list = []
             if _extend_runs(state, voter_rels[v], trail):
-                prefix_order.append(v)
-                placed.add(v)
-                if search(placed):
-                    return True
-                placed.discard(v)
-                prefix_order.pop()
+                placed[v] = None
+                yield frame()
+                placed.popitem()
             _undo_runs(state, trail)
-        return False
+            if not voter_rels[v]:
+                # v is in no constraint: placing it now is safe and smallest.
+                return
 
-    if search(set()):
-        return WitnessOrder(prefix_order)
+    if _depth_first(frame()):
+        return WitnessOrder(placed)
     return None
 
 

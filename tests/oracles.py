@@ -386,3 +386,17 @@ def random_matching(rng: random.Random, profile: Profile) -> Matching:
             chosen.append((x, y))
             used.update((x, y))
     return Matching(chosen)
+
+
+def path_profile_text(n: int) -> str:
+    """``pref i: i | i+1 | i-1`` for n agents on a path, in the profile format.
+
+    Pairing 0-1, 2-3, ... is stable, and the axis 0 1 2 ... is single-peaked
+    and single-crossing.  The matching search decides one pair per level and
+    the axis searches place one agent per level, so their depth grows with n.
+    """
+    lines = [f"agents {n}"]
+    for i in range(n):
+        ranked = [i] + [j for j in (i + 1, i - 1) if 0 <= j < n]
+        lines.append(f"pref {i}: " + " | ".join(map(str, ranked)))
+    return "\n".join(lines) + "\n"

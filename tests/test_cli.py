@@ -7,19 +7,25 @@ formats are designed to pipe straight back into the parsers.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from roommates import (
     GeneratorConfig,
     Graph,
     Matching,
     WitnessOrder,
+    find_blocking_pairs,
     fixture,
     gen_narcissistic_sp,
     is_narcissistic,
@@ -34,6 +40,9 @@ from roommates import (
     serialize_order,
     serialize_profile,
 )
+from roommates import cli
+
+from oracles import path_profile_text, random_matching, random_profile
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -379,8 +388,6 @@ def test_missing_file_is_a_plain_error(workdir):
 
 
 def test_unexpected_exceptions_exit_two_with_one_line(monkeypatch, capsys):
-    from roommates import cli
-
     def boom(args):
         raise RuntimeError("kaboom")
 
@@ -392,14 +399,71 @@ def test_unexpected_exceptions_exit_two_with_one_line(monkeypatch, capsys):
 
 
 def test_brute_solve_on_a_long_path_never_exits_one(tmp_path):
-    # pref i: i | i+1 | i-1 obviously has a stable matching; a crash in the
-    # search must not read as "no stable matching".
-    n = 2400
-    lines = [f"agents {n}"]
-    for i in range(n):
-        ranked = [i] + [j for j in (i + 1, i - 1) if 0 <= j < n]
-        lines.append(f"pref {i}: " + " | ".join(map(str, ranked)))
-    (tmp_path / "path.prof").write_text("\n".join(lines) + "\n")
+    # pref i: i | i+1 | i-1 obviously has a stable matching, and the search
+    # goes 1,200 decisions deep on it: that must not crash.
+    text = path_profile_text(2400)
+    (tmp_path / "path.prof").write_text(text)
     result = run("solve", "--algorithm", "brute", "path.prof", cwd=tmp_path)
-    assert result.returncode in (0, 2)
-    assert "Traceback" not in result.stderr
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+    matching = parse_matching(result.stdout)
+    assert find_blocking_pairs(parse_profile(text), matching) == []
+
+
+# ---------------------------------------------------------------------------
+# In-process fuzzing
+# ---------------------------------------------------------------------------
+
+@st.composite
+def cli_inputs(draw):
+    """Profile, matching and order texts for one small random profile.
+
+    Each text is valid or carries one edit: a dropped line, a stray token,
+    or a pair or order that names an agent outside the profile.
+    """
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    n = draw(st.integers(0, 7))
+    profile = random_profile(rng, n, p_tie=draw(st.sampled_from([0.0, 0.3, 0.7])))
+    texts = [
+        serialize_profile(profile),
+        serialize_matching(random_matching(rng, profile)),
+        serialize_order(WitnessOrder(rng.sample(range(n), n))),
+    ]
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(0, 2))
+        lines = texts[k].splitlines() or [""]
+        j = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["drop", "token", "pair", "order"]))
+        if edit == "drop":
+            del lines[j]
+        elif edit == "token":
+            lines[j] += " " + draw(st.sampled_from(["0", str(n), "|", "x", "-1"]))
+        elif edit == "pair":
+            lines.append(f"pair {draw(st.integers(0, n))} {draw(st.integers(0, n))}")
+        else:
+            lines = ["order " + " ".join(map(str, rng.sample(range(n + 1), n)))]
+        texts[k] = "\n".join(lines) + "\n"
+    return texts
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(texts=cli_inputs())
+def test_every_command_answers_or_fails_typed(tmp_path, texts):
+    paths = [str(tmp_path / name) for name in ("p.prof", "m.match", "a.order")]
+    for path, text in zip(paths, texts):
+        Path(path).write_text(text)
+    prof, match, order = paths
+    for argv in (
+        ["check", prof],
+        ["check", prof, "--order", order],
+        ["solve", prof],
+        ["solve", "--algorithm", "brute", "--budget", "2000", prof],
+        ["enumerate", "--budget", "2000", prof],
+        ["verify", prof, match],
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = cli.main(argv)
+        assert status in (0, 1, 2), argv
+        assert "InternalError" not in err.getvalue(), (argv, err.getvalue())

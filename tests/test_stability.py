@@ -17,9 +17,14 @@ from roommates import (
     enumerate_stable_matchings,
     exists_stable_matching,
     find_blocking_pairs,
+    find_single_peaked_order,
+    find_tssc_order,
     fixture,
+    gen_degree3_graph,
+    independent_set_to_sr,
     is_perfect,
     is_stable,
+    parse_profile,
 )
 
 from oracles import (
@@ -27,6 +32,7 @@ from oracles import (
     blocking_pairs_by_definition,
     brute_perfect_stable_matchings,
     brute_stable_matchings,
+    path_profile_text,
     random_complete_profile,
     random_matching,
     random_profile,
@@ -184,6 +190,36 @@ def test_budget_is_enforced():
     profile = random_complete_profile(random.Random(0), 10)
     with pytest.raises(BudgetExceeded):
         enumerate_stable_matchings(profile, budget=3)
+
+
+@pytest.mark.parametrize(
+    "k, search, budget",
+    [
+        (4, enumerate_stable_matchings, 29_003),
+        (4, exists_stable_matching, 1_083),
+        (5, enumerate_stable_matchings, 21_073),
+        (5, exists_stable_matching, 21_073),
+    ],
+)
+def test_smallest_passing_budgets_are_frozen(k, search, budget):
+    # The smallest budget each search finishes within pins which nodes it
+    # visits and in what order.  The graph's independence number is 4, so
+    # k=5 has no stable matching and both searches see the whole tree.
+    profile = independent_set_to_sr(gen_degree3_graph(9, 0.4, seed=2), k).profile
+    with pytest.raises(BudgetExceeded):
+        search(profile, budget=budget - 1)
+    search(profile, budget=budget)
+
+
+def test_searches_on_a_long_path_do_not_run_out_of_stack():
+    # 1,200 matching decisions, and 2,400 placed agents per axis search, all
+    # within the interpreter's default recursion limit.
+    n = 2400
+    profile = parse_profile(path_profile_text(n))
+    found, matching = exists_stable_matching(profile)
+    assert found and is_stable(profile, matching)
+    assert find_single_peaked_order(profile, max_agents=n).sequence == tuple(range(n))
+    assert find_tssc_order(profile, max_agents=n).sequence == tuple(range(n))
 
 
 @settings(max_examples=60, deadline=None)

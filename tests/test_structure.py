@@ -363,6 +363,16 @@ def test_sc_exact_search_matches_the_brute_oracle():
         assert is_sc_wrt(profile, order) == sc_by_definition(profile, order)
 
 
+def test_sc_exact_search_answers_a_deep_tied_instance():
+    # Frozen value, found in about 2 s.  The 50 voters hold about 2,500
+    # groups but only 21 tied ones, and the search stacks a frame per tied
+    # group only, so it stays far below the default recursion limit.
+    profile, axis = gen_narcissistic_sp(GeneratorConfig(50, True, 0.5, 3))
+    order = list(axis.sequence)
+    order[25], order[26] = order[26], order[25]
+    assert is_sc_wrt(profile, order) is False
+
+
 def test_oversized_tie_groups_are_refused_not_guessed():
     raw = {i: [[i], [j for j in range(8) if j != i]] for i in range(8)}
     profile = build_profile(raw)
