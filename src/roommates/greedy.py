@@ -45,8 +45,8 @@ def find_mutual_most_acceptable_pair(profile: Profile) -> Pair | None:
 
     A pair {x, y} qualifies when y is among x's most acceptable agents and
     vice versa (selves excluded, ties allowed).  Returns None when no such
-    pair exists.  Works on arbitrary profiles; the greedy solver keeps an
-    incremental equivalent of this scan.
+    pair exists.  Works on arbitrary profiles; the greedy solver repeats
+    this scan over the remaining agents in every round.
     """
     tops = {i: most_acceptable_set(profile, i) for i in profile.agents}
     for x in profile.agents:
@@ -57,8 +57,12 @@ def find_mutual_most_acceptable_pair(profile: Profile) -> Pair | None:
 
 
 def _check_preconditions(profile: Profile) -> None:
+    # Acceptability is symmetric, so an order ranks only agents of the
+    # profile and is complete when it ranks everyone but maybe its owner.
+    n = profile.n_agents
     for i in profile.agents:
-        if profile.orders[i].ranks.keys() | {i} != profile.agent_set:
+        ranks = profile.orders[i].ranks
+        if len(ranks) + (i not in ranks) != n:
             raise NotComplete(i)
     for i in profile.agents:
         order = profile.orders[i]
@@ -75,82 +79,48 @@ def greedy_solve(profile: Profile) -> tuple[Matching, SolveTrace]:
     no mutually most-acceptable pair.  The output is checked against
     find_blocking_pairs before being returned.
 
-    Quadratic in the number of agents as long as tie groups stay small.
-    Each agent carries a lazily materialised view of its best surviving tie
-    group plus a reverse index of who currently tops whom, so removals cost
-    time proportional to the affected top groups rather than to n.
+    Each of the n/2 rounds repeats the scan of
+    find_mutual_most_acceptable_pair over the remaining agents.  An agent's
+    top group comes from a pointer that only moves forward, past groups
+    whose agents have all left, so with tie groups of at most t agents a
+    run costs O(n^2 t).
     """
     _check_preconditions(profile)
 
-    agents = profile.agents
-    n = len(agents)
-    index = {a: k for k, a in enumerate(agents)}
-    orders = [profile.orders[a] for a in agents]
-    alive = [True] * n
+    orders = profile.orders
+    left = dict.fromkeys(profile.agents)  # remaining agents, in id order
+    # best[a]: index of a's best tie group that may hold a remaining agent.
+    best = dict.fromkeys(profile.agents, 1)
 
-    # cur[k]: surviving members (dense indices) of k's best non-self tie
-    # group; gi[k]: that group's index in glists[k]; fans[m]: agents whose
-    # current top group contains m.  Groups are materialised only when the
-    # pointer reaches them, so untouched tails cost nothing.
-    gi = [0] * n
-    cur: list[set[int]] = [set() for _ in range(n)]
-    fans: list[set[int]] = [set() for _ in range(n)]
-
-    def promote(k: int) -> None:
-        order = orders[k]
-        j = gi[k] + 1
-        while j < len(order.starts):
-            live = {m for m in (index[a] for a in order.group(j)) if alive[m]}
-            if live:
-                gi[k] = j
-                cur[k] = live
-                for m in live:
-                    fans[m].add(k)
-                return
-            j += 1
-        gi[k] = j
-        cur[k] = set()
-
-    for k in range(n):
-        promote(k)
-    remaining = n
-
-    def remove(k: int) -> None:
-        nonlocal remaining
-        alive[k] = False
-        remaining -= 1
-        for a in fans[k]:
-            if alive[a]:
-                cur[a].discard(k)
-                if not cur[a]:
-                    promote(a)
-        fans[k].clear()
+    def top(a: AgentId) -> tuple[AgentId, ...]:
+        """a's best tie group holding a remaining agent, or () if none is left."""
+        order, g = orders[a], best[a]
+        while g < len(order.starts):
+            group = order.group(g)
+            if not left.keys().isdisjoint(group):
+                break
+            g += 1
+        else:
+            group = ()
+        best[a] = g
+        return group
 
     rounds: list[tuple[Pair, int]] = []
-    pairs: list[Pair] = []
-    while remaining:
-        found: Pair | None = None
-        for x in range(n):
-            if not alive[x] or not cur[x]:
-                continue
-            best = -1
-            for y in cur[x]:
-                if y > x and (best < 0 or y < best) and x in cur[y]:
-                    best = y
-            if best >= 0:
-                found = (agents[x], agents[best])
-                break
+    while left:
+        found = next(
+            ((x, y) for x in left for y in top(x) if y > x and y in left and x in top(y)),
+            None,
+        )
         if found is None:
-            raise NoMutualPair(tuple(a for k, a in enumerate(agents) if alive[k]))
-        remove(index[found[0]])
-        remove(index[found[1]])
-        pairs.append(found)
-        rounds.append((found, remaining))
+            raise NoMutualPair(tuple(left))
+        del left[found[0]], left[found[1]]
+        rounds.append((found, len(left)))
 
-    matching = Matching(pairs)
+    trace = SolveTrace(tuple(rounds))
+    matching = Matching(trace.pairs)
     blocking = find_blocking_pairs(profile, matching)
     if blocking:
         raise InternalInvariantViolation(
             f"greedy run completed but {blocking[0].pair} blocks the result"
         )
-    return matching, SolveTrace(tuple(rounds))
+    return matching, trace

@@ -2,8 +2,7 @@
 
 The fixtures are small hand-built profiles exercising specific behaviors
 (multiple stable matchings, none at all, crossing structure with and
-without ties).  Their agents carry the one-based labels they were
-originally written with; ids are zero-based like everywhere else.
+without ties).
 
 The generators are deterministic in their seed and verify their own
 output before returning it.
@@ -80,13 +79,12 @@ FIXTURE_NAMES = tuple(sorted(_FIXTURES))
 
 
 def fixture(name: str) -> Profile:
-    """One of the named example profiles, labels included."""
+    """One of the named example profiles."""
     try:
         raw = _FIXTURES[name]
     except KeyError:
         raise UnknownFixture(name, FIXTURE_NAMES) from None
-    labels = {i: str(i + 1) for i in raw}
-    return build_profile(raw, labels=labels)
+    return build_profile(raw)
 
 
 # ---------------------------------------------------------------------------

@@ -170,7 +170,6 @@ class Profile:
     """
 
     orders: Mapping[AgentId, PreferenceOrder]
-    labels: Mapping[AgentId, str] | None = field(default=None, compare=False)
 
     @cached_property
     def agents(self) -> tuple[AgentId, ...]:
@@ -189,12 +188,6 @@ class Profile:
             return self.orders[i]
         except KeyError:
             raise ValueError(f"no agent {i} in this profile") from None
-
-    def label(self, i: AgentId) -> str:
-        """Display label of agent ``i`` (its id when no labels are attached)."""
-        if self.labels and i in self.labels:
-            return self.labels[i]
-        return str(i)
 
 
 @dataclass(frozen=True)
@@ -279,11 +272,7 @@ def _check_symmetry(orders: Mapping[AgentId, PreferenceOrder]) -> None:
                 raise AsymmetricAcceptability(i, j)
 
 
-def profile_from_orders(
-    orders: Mapping[AgentId, PreferenceOrder],
-    *,
-    labels: Mapping[AgentId, str] | None = None,
-) -> Profile:
+def profile_from_orders(orders: Mapping[AgentId, PreferenceOrder]) -> Profile:
     """Assemble a profile from built orders, keyed by their owners.
 
     Checks what :func:`build_profile` checks: no agent twice in one order
@@ -297,14 +286,10 @@ def profile_from_orders(
                     raise DuplicateInOrder(order.owner, member)
                 seen.add(member)
     _check_symmetry(orders)
-    return Profile(orders=dict(orders), labels=dict(labels) if labels else None)
+    return Profile(orders=dict(orders))
 
 
-def build_profile(
-    orders: Mapping[AgentId, RawOrder],
-    *,
-    labels: Mapping[AgentId, str] | None = None,
-) -> Profile:
+def build_profile(orders: Mapping[AgentId, RawOrder]) -> Profile:
     """Assemble a profile from per-agent raw tie groups.
 
     Ids may be sparse, and agents acceptable to nobody are tolerated (they
@@ -314,14 +299,10 @@ def build_profile(
     built = {
         int(i): PreferenceOrder.from_groups(int(i), raw) for i, raw in orders.items()
     }
-    return profile_from_orders(built, labels=labels)
+    return profile_from_orders(built)
 
 
-def validate_profile(
-    raw_orders: Sequence[RawOrder],
-    *,
-    labels: Mapping[AgentId, str] | None = None,
-) -> Profile:
+def validate_profile(raw_orders: Sequence[RawOrder]) -> Profile:
     """Validate dense raw orders (agent ``i`` = ``raw_orders[i]``) into a Profile.
 
     Raises the error for the first violated invariant: DuplicateInOrder,
@@ -331,7 +312,7 @@ def validate_profile(
     """
     if not raw_orders:
         raise ValueError("raw_orders must be non-empty")
-    profile = build_profile({i: raw for i, raw in enumerate(raw_orders)}, labels=labels)
+    profile = build_profile({i: raw for i, raw in enumerate(raw_orders)})
     wanted_by_someone: set[AgentId] = set()
     for j in profile.agents:
         wanted_by_someone.update(profile.orders[j].ranks.keys() - {j})
@@ -410,7 +391,4 @@ def restrict(profile: Profile, removed: Iterable[AgentId]) -> Profile:
         logger.warning(
             "restrict left agents %s with empty acceptable sets", emptied
         )
-    labels = None
-    if profile.labels:
-        labels = {i: lab for i, lab in profile.labels.items() if i not in gone}
-    return Profile(orders=kept_orders, labels=labels)
+    return Profile(orders=kept_orders)

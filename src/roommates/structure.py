@@ -93,9 +93,10 @@ def _order_positions(profile: Profile, order: OrderLike) -> dict[AgentId, int]:
 
 def is_complete(profile: Profile) -> bool:
     """True when every agent ranks every other agent."""
-    everyone = profile.agent_set
+    n = profile.n_agents
     return all(
-        order.ranks.keys() | {i} == everyone for i, order in profile.orders.items()
+        len(order.ranks) + (i not in order.ranks) == n
+        for i, order in profile.orders.items()
     )
 
 
@@ -391,7 +392,7 @@ def break_ties_fixed(profile: Profile, tiebreak: OrderLike) -> Profile:
                 for m in sorted(group, key=pos.__getitem__)
             )
         new_orders[i] = PreferenceOrder(i, members, range(len(members)))
-    return Profile(orders=new_orders, labels=profile.labels)
+    return Profile(orders=new_orders)
 
 
 def is_sc_wrt(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import os
 import random
@@ -40,7 +41,7 @@ from roommates import (
     serialize_order,
     serialize_profile,
 )
-from roommates import cli
+from roommates import cli, structure
 
 from oracles import path_profile_text, random_matching, random_profile
 
@@ -408,6 +409,61 @@ def test_brute_solve_on_a_long_path_never_exits_one(tmp_path):
     assert result.stderr == ""
     matching = parse_matching(result.stdout)
     assert find_blocking_pairs(parse_profile(text), matching) == []
+
+
+# ---------------------------------------------------------------------------
+# Benchmark replay contract
+# ---------------------------------------------------------------------------
+
+def _load_replay():
+    """``bench/replay.py``, which wraps the package functions the CLI calls."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "replay.py"
+    spec = importlib.util.spec_from_file_location("bench_replay", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_replay_wraps_names_the_cli_and_its_modules_have():
+    replay = _load_replay()
+    for name in replay.CLI_NAMES:
+        assert callable(getattr(cli, name, None)), name
+    for module, names in replay.MODULE_NAMES.items():
+        for name in names:
+            assert callable(getattr(module, name, None)), (module.__name__, name)
+
+
+def test_property_report_looks_up_the_wrapped_checks_at_call_time(monkeypatch):
+    names = _load_replay().MODULE_NAMES[structure]
+    called = set()
+    for name in names:
+        def spy(*args, _name=name, _real=getattr(structure, name), **kwargs):
+            called.add(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(structure, name, spy)
+    structure.property_report(fixture("fig2b"), parse_order("order 0 1 2 3\n"))
+    assert called == set(names)
+
+
+def test_traced_commands_record_their_layers(monkeypatch, workdir, capsys):
+    replay = _load_replay()
+    for module, names in ((cli, replay.CLI_NAMES), *replay.MODULE_NAMES.items()):
+        for name in names:
+            # Re-set each name through monkeypatch so the wrappers come off
+            # after the test.
+            monkeypatch.setattr(module, name, getattr(module, name))
+    tracer = replay.Tracer("op", mem=False)
+    tracer.install()
+    assert cli.main(["solve", "--trace", str(workdir / "example1.prof")]) == 0
+    assert cli.main(["check", str(workdir / "fig2b.prof"),
+                     "--order", str(workdir / "axis.order")]) == 0
+    capsys.readouterr()
+    assert {span["name"] for span in tracer.spans} >= {
+        "formats.parse_profile", "formats.parse_order", "greedy.greedy_solve",
+        "structure.is_single_peaked_wrt", "structure.is_tssc_wrt",
+        "structure.is_sc_wrt", "structure.is_complete",
+    }
 
 
 # ---------------------------------------------------------------------------

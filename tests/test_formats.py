@@ -92,6 +92,7 @@ def test_empty_orders_are_legal_and_stable():
         ("agents 2\npref 0: 9\npref 1:\n", "outside 0..1"),
         ("agents 1\npref 0: 0\npref 0: 0\n", "duplicate pref line"),
         ("agents 2\npref 0: 0 | | 1\npref 1:\n", "empty tie group"),
+        ("agents 2\npref 0: 0 |\npref 1: 1\n", "empty tie group"),
         ("agents 1\npref 0: zero\n", "expected an integer"),
         ("agents 2\npref 0:\n", "no pref line for agent 1"),
     ],

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -22,6 +23,8 @@ from roommates import (
     is_stable,
     restrict,
 )
+
+from oracles import most_acceptable_by_scan, random_complete_profile
 
 # A complete narcissistic profile whose top choices chase each other in a
 # ring, so no two agents ever top-rank each other.
@@ -147,15 +150,47 @@ def test_small_generated_profiles_land_inside_the_enumeration():
         assert frozenset(matching.pairs) in stable
 
 
-def test_each_round_removes_the_scanned_mutual_pair():
-    config = GeneratorConfig(n_agents=12, allow_ties=True, tie_probability=0.5, seed=9)
-    profile, _ = gen_narcissistic_sp(config)
-    _, trace = greedy_solve(profile)
+def _greedy_by_oracle(profile: Profile):
+    """The rounds of the greedy loop, each pair found by the oracle's scan on
+    the restricted profile, and the agents left when no pair remains."""
+    rounds = []
     current = profile
-    for pair, _left in trace.rounds:
-        assert find_mutual_most_acceptable_pair(current) == pair
-        current = restrict(current, set(pair))
-    assert current.n_agents == 0
+    while current.n_agents:
+        tops = {a: most_acceptable_by_scan(current, a) for a in current.agents}
+        pair = min(
+            ((x, y) for x, y in combinations(current.agents, 2)
+             if y in tops[x] and x in tops[y]),
+            default=None,
+        )
+        if pair is None:
+            return rounds, current.agents
+        current = restrict(current, pair)
+        rounds.append((pair, current.n_agents))
+    return rounds, ()
+
+
+def test_each_round_removes_the_scanned_mutual_pair():
+    profiles = [
+        gen_narcissistic_sp(GeneratorConfig(
+            n_agents=n, allow_ties=ties, tie_probability=0.5, seed=seed))[0]
+        for n in range(2, 25, 2) for ties in (False, True) for seed in (1, 2, 3, 4)
+    ]
+    rng = random.Random(5)
+    profiles += [
+        random_complete_profile(rng, rng.randint(2, 12), p_tie=0.7) for _ in range(300)
+    ]
+    outcomes = {"solved": 0, "stuck": 0}
+    for profile in profiles:
+        rounds, stuck = _greedy_by_oracle(profile)
+        if stuck:
+            outcomes["stuck"] += 1
+            with pytest.raises(NoMutualPair) as info:
+                greedy_solve(profile)
+            assert info.value.remaining == stuck
+        else:
+            outcomes["solved"] += 1
+            assert greedy_solve(profile)[1].rounds == tuple(rounds)
+    assert min(outcomes.values()) >= 40, outcomes
 
 
 def test_solver_leaves_the_input_profile_untouched():

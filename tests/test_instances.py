@@ -47,11 +47,6 @@ def test_unknown_fixture_reports_the_catalogue():
     assert info.value.known == FIXTURE_NAMES
 
 
-def test_fixture_labels_count_from_one():
-    profile = fixture("example1")
-    assert [profile.label(i) for i in profile.agents] == ["1", "2", "3", "4"]
-
-
 def test_incomplete_fixture_shapes():
     p1 = fixture("p1")
     for hub in (4, 5):
