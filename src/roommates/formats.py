@@ -18,7 +18,7 @@ from itertools import pairwise
 
 from .coloring import Graph
 from .errors import ParseError
-from .model import AgentId, Matching, PreferenceOrder, Profile, profile_from_orders
+from .model import AgentId, Matching, PreferenceOrder, Profile
 from .reduction import BetweennessInstance
 from .structure import WitnessOrder
 
@@ -89,7 +89,7 @@ def parse_profile(text: str) -> Profile:
     if len(orders) != n:
         missing = next(i for i in range(n) if i not in orders)
         raise ParseError(f"no pref line for agent {missing}")
-    return profile_from_orders({
+    return Profile({
         agent: order if isinstance(order, PreferenceOrder)
         else PreferenceOrder.from_groups(agent, order)
         for agent, order in orders.items()

@@ -57,8 +57,8 @@ def find_mutual_most_acceptable_pair(profile: Profile) -> Pair | None:
 
 
 def _check_preconditions(profile: Profile) -> None:
-    # Acceptability is symmetric, so an order ranks only agents of the
-    # profile and is complete when it ranks everyone but maybe its owner.
+    # Every Profile has symmetric acceptability, so an order ranks only its
+    # profile's agents and is complete when it ranks all but maybe its owner.
     n = profile.n_agents
     for i in profile.agents:
         ranks = profile.orders[i].ranks

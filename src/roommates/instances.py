@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .coloring import Graph
 from .errors import InternalInvariantViolation, UnknownFixture
-from .model import AgentId, PreferenceOrder, Profile, build_profile, profile_from_orders
+from .model import AgentId, PreferenceOrder, Profile, build_profile
 from .structure import WitnessOrder, is_single_peaked_wrt
 
 _FIXTURES: dict[str, dict[AgentId, list[list[AgentId]]]] = {
@@ -162,7 +162,7 @@ def gen_narcissistic_sp(config: GeneratorConfig) -> tuple[Profile, WitnessOrder]
                 right += 1
         orders[i] = PreferenceOrder(i, tuple(members), starts)
 
-    profile = profile_from_orders(orders)
+    profile = Profile(orders)
     witness = WitnessOrder(axis)
     if not is_single_peaked_wrt(profile, witness):
         raise InternalInvariantViolation("generated profile failed its axis check")

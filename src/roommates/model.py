@@ -6,7 +6,8 @@ list itself.  It is stored flat: the members in rank order (ascending
 inside a tie group), the offset where each group starts, and a rank table
 built with the order.  The frozenset ``groups`` and ``acceptable`` are
 views derived from that storage on request.  A profile bundles one order
-per agent and guarantees that acceptability is symmetric.
+per agent; its constructor checks that acceptability is symmetric and
+that no order names an agent twice.
 
 Top-level profiles use dense ids ``0..n-1``.  Profiles produced by
 :func:`restrict` keep the surviving agents' original ids, so sub-profiles
@@ -162,14 +163,26 @@ class PreferenceOrder:
 
 @dataclass(frozen=True)
 class Profile:
-    """A collection of preference orders, one per agent.
+    """A collection of preference orders, one per agent, keyed by owner.
 
-    Construct through :func:`validate_profile` (dense, fully checked) or
-    :func:`build_profile` (sparse ids allowed, isolation tolerated); both
-    enforce symmetric acceptability.
+    The constructor copies ``orders`` and raises DuplicateInOrder for an
+    agent twice in one order and AsymmetricAcceptability for a one-sided
+    pair.  Ids may be sparse and isolated agents are allowed.
     """
 
     orders: Mapping[AgentId, PreferenceOrder]
+
+    def __post_init__(self) -> None:
+        orders = dict(self.orders)
+        for order in orders.values():
+            if len(order.ranks) != len(order.members):
+                seen: set[AgentId] = set()
+                for member in order.members:
+                    if member in seen:
+                        raise DuplicateInOrder(order.owner, member)
+                    seen.add(member)
+        _check_symmetry(orders)
+        object.__setattr__(self, "orders", orders)
 
     @cached_property
     def agents(self) -> tuple[AgentId, ...]:
@@ -196,14 +209,6 @@ class AcceptabilityGraph:
 
     vertices: tuple[AgentId, ...]
     edges: tuple[tuple[AgentId, AgentId], ...]
-
-    @cached_property
-    def neighbors(self) -> dict[AgentId, tuple[AgentId, ...]]:
-        adj: dict[AgentId, list[AgentId]] = {v: [] for v in self.vertices}
-        for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        return {v: tuple(sorted(ns)) for v, ns in adj.items()}
 
 
 @dataclass(frozen=True)
@@ -272,23 +277,6 @@ def _check_symmetry(orders: Mapping[AgentId, PreferenceOrder]) -> None:
                 raise AsymmetricAcceptability(i, j)
 
 
-def profile_from_orders(orders: Mapping[AgentId, PreferenceOrder]) -> Profile:
-    """Assemble a profile from built orders, keyed by their owners.
-
-    Checks what :func:`build_profile` checks: no agent twice in one order
-    (DuplicateInOrder), then symmetric acceptability.
-    """
-    for order in orders.values():
-        if len(order.ranks) != len(order.members):
-            seen: set[AgentId] = set()
-            for member in order.members:
-                if member in seen:
-                    raise DuplicateInOrder(order.owner, member)
-                seen.add(member)
-    _check_symmetry(orders)
-    return Profile(orders=dict(orders))
-
-
 def build_profile(orders: Mapping[AgentId, RawOrder]) -> Profile:
     """Assemble a profile from per-agent raw tie groups.
 
@@ -296,10 +284,9 @@ def build_profile(orders: Mapping[AgentId, RawOrder]) -> Profile:
     occur legitimately in restricted and reduced instances).  Symmetric
     acceptability and duplicate-free orders are still enforced.
     """
-    built = {
+    return Profile({
         int(i): PreferenceOrder.from_groups(int(i), raw) for i, raw in orders.items()
-    }
-    return profile_from_orders(built)
+    })
 
 
 def validate_profile(raw_orders: Sequence[RawOrder]) -> Profile:
@@ -313,11 +300,9 @@ def validate_profile(raw_orders: Sequence[RawOrder]) -> Profile:
     if not raw_orders:
         raise ValueError("raw_orders must be non-empty")
     profile = build_profile({i: raw for i, raw in enumerate(raw_orders)})
-    wanted_by_someone: set[AgentId] = set()
-    for j in profile.agents:
-        wanted_by_someone.update(profile.orders[j].ranks.keys() - {j})
-    for i in profile.agents:
-        if i not in wanted_by_someone:
+    # Under symmetry, nobody else ranks i exactly when i ranks nobody else.
+    for i, order in profile.orders.items():
+        if len(order.ranks) == (i in order.ranks):
             raise IsolatedAgent(i)
     if profile.n_agents % 2 == 1:
         warnings.warn(OddAgentCount(f"profile has an odd number of agents ({profile.n_agents})"))
@@ -358,13 +343,9 @@ def most_acceptable_set(profile: Profile, i: AgentId) -> frozenset[AgentId]:
 
 def acceptability_graph(profile: Profile) -> AcceptabilityGraph:
     """The graph with an edge wherever two distinct agents rank each other."""
-    edges = []
-    orders = profile.orders
-    for i in profile.agents:
-        for j in orders[i].ranks:
-            if j > i and j in orders and i in orders[j].ranks:
-                edges.append((i, j))
-    edges.sort()
+    edges = sorted(
+        (i, j) for i, order in profile.orders.items() for j in order.ranks if j > i
+    )
     return AcceptabilityGraph(vertices=profile.agents, edges=tuple(edges))
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
-from .coloring import EdgeColoring, Graph, check_degree_cap, misra_gries_edge_coloring
+from .coloring import Graph, check_degree_cap, misra_gries_edge_coloring
 from .errors import (
     InternalInvariantViolation,
     KOutOfRange,
@@ -70,7 +70,6 @@ class ReducedInstance:
     sp_witness: WitnessOrder | None = None
     graph: Graph | None = None
     k: int | None = None
-    coloring: EdgeColoring | None = None
     betweenness: BetweennessInstance | None = None
     # vertex_agents[i][s-1] is the id of vertex i's slot-s agent; the
     # gadget tables are laid out the same way with five slots.
@@ -227,7 +226,6 @@ def independent_set_to_sr(graph: Graph, k: int) -> ReducedInstance:
         sp_witness=WitnessOrder(witness),
         graph=graph,
         k=k,
-        coloring=coloring,
         vertex_agents=vertex_agents,
         a_gadgets=a_gadgets,
         b_gadgets=b_gadgets,

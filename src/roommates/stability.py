@@ -11,8 +11,9 @@ facts to the not-yet-decided neighbors of every decision:
 Both facts only ever shrink a neighbor's options to "partners ranked at or
 above some group" and "may not stay single", so the search state per agent
 is a rank threshold plus one flag.  Every leaf reached this way is a stable
-matching and every stable matching survives to a leaf, so no post-filtering
-is needed.
+matching and every stable matching survives to exactly one leaf (two
+leaves differ in the partner of the agent branched on where their paths
+split), so no post-filtering or deduplication is needed.
 """
 
 from __future__ import annotations
@@ -23,12 +24,7 @@ from enum import Enum
 from math import inf
 
 from .errors import BudgetExceeded
-from .model import (
-    AgentId,
-    Matching,
-    Profile,
-    acceptability_graph,
-)
+from .model import AgentId, Matching, Profile
 
 DEFAULT_SEARCH_BUDGET = 10_000_000
 
@@ -80,7 +76,7 @@ def check_matching(profile: Profile, matching: Matching) -> None:
     for a, b in matching.pairs:
         if a not in orders or b not in orders:
             raise ValueError(f"pair ({a}, {b}) mentions an agent outside the profile")
-        if b not in orders[a].ranks or a not in orders[b].ranks:
+        if b not in orders[a].ranks:
             raise ValueError(f"pair ({a}, {b}) is not mutually acceptable")
 
 
@@ -148,15 +144,14 @@ class _StableSearch:
     """Backtracking enumeration of all stable matchings of one profile."""
 
     def __init__(self, profile: Profile):
-        graph = acceptability_graph(profile)
         self.agents = profile.agents
         m = len(self.agents)
         index = {a: i for i, a in enumerate(self.agents)}
         self.nbrs: list[list[int]] = []
         self.rank: list[dict[int, int]] = []
         for a in self.agents:
-            ranks = profile.orders[a].ranks
-            local = sorted(index[b] for b in graph.neighbors[a])
+            ranks = profile.orders[a].ranks  # symmetric: all rank ``a`` back
+            local = sorted(index[b] for b in ranks if b != a)
             self.nbrs.append(local)
             self.rank.append({q: ranks[self.agents[q]] for q in local})
         self.maxrank = [len(profile.orders[a].starts) for a in self.agents]
@@ -167,7 +162,7 @@ class _StableSearch:
 
     def run(self, budget: int, first_only: bool = False) -> list[Matching]:
         _depth_first(self._frame(first_only, len(self.agents)), budget)
-        return sorted(set(self.found), key=lambda m: m.pairs)
+        return sorted(self.found, key=lambda m: m.pairs)
 
     # -- propagation ------------------------------------------------------
 
@@ -257,7 +252,7 @@ class _StableSearch:
 def enumerate_stable_matchings(
     profile: Profile, *, budget: int = DEFAULT_SEARCH_BUDGET
 ) -> list[Matching]:
-    """All stable matchings (maximal or not), deduplicated, canonically sorted.
+    """All stable matchings (maximal or not), each once, canonically sorted.
 
     Raises BudgetExceeded when the backtracking search would pass ``budget``
     decision nodes.

@@ -92,7 +92,10 @@ def _order_positions(profile: Profile, order: OrderLike) -> dict[AgentId, int]:
 # ---------------------------------------------------------------------------
 
 def is_complete(profile: Profile) -> bool:
-    """True when every agent ranks every other agent."""
+    """True when every agent ranks every other agent.
+
+    Every Profile has symmetric acceptability, so this is a length test.
+    """
     n = profile.n_agents
     return all(
         len(order.ranks) + (i not in order.ranks) == n
@@ -501,19 +504,14 @@ def find_single_peaked_order(
     better_masks: list[list[int]] = [[] for _ in agents]
     constrained = 0
     for order in profile.orders.values():
-        ranks = order.ranks
-        members = sorted(ranks, key=ranks.__getitem__)
-        mask = 0
-        prev_rank = None
         prefix = 0
-        for a in members:
-            if prev_rank is not None and ranks[a] > prev_rank:
-                prefix = mask
+        for group in order.group_slices():
             if prefix:
-                better_masks[index[a]].append(prefix)
-                constrained |= prefix | (1 << index[a])
-            prev_rank = ranks[a]
-            mask |= 1 << index[a]
+                for a in group:
+                    better_masks[index[a]].append(prefix)
+                    constrained |= prefix | (1 << index[a])
+            for a in group:
+                prefix |= 1 << index[a]
 
     full = (1 << len(agents)) - 1
     dead: set[int] = set()

@@ -15,8 +15,10 @@ from roommates import (
     IsolatedAgent,
     Matching,
     OddAgentCount,
+    PreferenceOrder,
     Profile,
     acceptability_graph,
+    break_ties_fixed,
     build_profile,
     compare,
     fixture,
@@ -24,6 +26,8 @@ from roommates import (
     restrict,
     validate_profile,
 )
+
+from roommates import model
 
 from oracles import most_acceptable_by_scan, random_profile
 
@@ -53,6 +57,57 @@ def test_self_only_agents_are_isolated():
 def test_duplicate_entry_in_an_order_is_rejected():
     with pytest.raises(DuplicateInOrder):
         validate_profile([[[0], [1], [1]], [[1], [0]]])
+
+
+def test_isolated_agent_is_the_first_that_ranks_nobody_else():
+    with pytest.raises(IsolatedAgent) as info:
+        validate_profile([[[0], [1]], [[1], [0]], [[2]], [[3]]])
+    assert info.value.agent == 2
+
+
+def test_direct_construction_rejects_a_partner_outside_the_profile():
+    with pytest.raises(AsymmetricAcceptability) as info:
+        Profile({
+            0: PreferenceOrder.from_groups(0, [[0], [5]]),
+            1: PreferenceOrder.from_groups(1, [[1], [0]]),
+        })
+    assert (info.value.i, info.value.j) == (0, 5)
+
+
+def test_direct_construction_rejects_a_duplicate_member():
+    with pytest.raises(DuplicateInOrder) as info:
+        Profile({
+            0: PreferenceOrder(0, (0, 1, 1), (0, 1, 2)),
+            1: PreferenceOrder.from_groups(1, [[1], [0]]),
+        })
+    assert (info.value.agent, info.value.duplicate) == (0, 1)
+
+
+def test_profile_keeps_its_own_copy_of_the_orders():
+    orders = {
+        0: PreferenceOrder.from_groups(0, [[0], [1]]),
+        1: PreferenceOrder.from_groups(1, [[1], [0]]),
+    }
+    profile = Profile(orders)
+    del orders[1]
+    orders[0] = PreferenceOrder.from_groups(0, [[0]])
+    assert sorted(profile.orders) == [0, 1]
+    assert profile.orders[0].members == (0, 1)
+
+
+def test_derived_profiles_are_checked_when_built(monkeypatch):
+    profile = fixture("example1")
+    checked = []
+    check = model._check_symmetry
+
+    def spy(orders):
+        checked.append(sorted(orders))
+        check(orders)
+
+    monkeypatch.setattr(model, "_check_symmetry", spy)
+    restrict(profile, [3])
+    break_ties_fixed(profile, (0, 1, 2, 3))
+    assert checked == [[0, 1, 2], [0, 1, 2, 3]]
 
 
 def test_empty_profile_input_is_rejected():
