@@ -22,7 +22,7 @@ from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import accumulate, pairwise
+from itertools import accumulate, chain, pairwise
 
 from .errors import (
     AsymmetricAcceptability,
@@ -204,14 +204,6 @@ class Profile:
 
 
 @dataclass(frozen=True)
-class AcceptabilityGraph:
-    """Undirected loop-free graph of mutual acceptability."""
-
-    vertices: tuple[AgentId, ...]
-    edges: tuple[tuple[AgentId, AgentId], ...]
-
-
-@dataclass(frozen=True)
 class Matching:
     """A set of disjoint unordered agent pairs."""
 
@@ -223,13 +215,17 @@ class Matching:
             a, b = pair
             if a == b:
                 raise ValueError(f"an agent cannot be matched with itself: {a}")
-            normalized.append((min(a, b), max(a, b)))
+            # An ordered tuple is kept as given, so callers can share pairs.
+            if type(pair) is not tuple or not a < b:
+                pair = (min(a, b), max(a, b))
+            normalized.append(pair)
         normalized.sort()
-        seen: set[AgentId] = set()
-        for a, b in normalized:
-            if a in seen or b in seen:
-                raise ValueError(f"pair ({a}, {b}) overlaps another pair")
-            seen.update((a, b))
+        if len(set(chain.from_iterable(normalized))) != 2 * len(normalized):
+            seen: set[AgentId] = set()
+            for a, b in normalized:
+                if a in seen or b in seen:
+                    raise ValueError(f"pair ({a}, {b}) overlaps another pair")
+                seen.update((a, b))
         object.__setattr__(self, "pairs", tuple(normalized))
 
     @cached_property
@@ -339,14 +335,6 @@ def most_acceptable_set(profile: Profile, i: AgentId) -> frozenset[AgentId]:
         if others:
             return others
     return frozenset()
-
-
-def acceptability_graph(profile: Profile) -> AcceptabilityGraph:
-    """The graph with an edge wherever two distinct agents rank each other."""
-    edges = sorted(
-        (i, j) for i, order in profile.orders.items() for j in order.ranks if j > i
-    )
-    return AcceptabilityGraph(vertices=profile.agents, edges=tuple(edges))
 
 
 def restrict(profile: Profile, removed: Iterable[AgentId]) -> Profile:

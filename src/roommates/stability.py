@@ -14,6 +14,16 @@ is a rank threshold plus one flag.  Every leaf reached this way is a stable
 matching and every stable matching survives to exactly one leaf (two
 leaves differ in the partner of the agent branched on where their paths
 split), so no post-filtering or deduplication is needed.
+
+Each node branches on the first undecided agent, in id order, with at most
+one way to go; failing that, on the first agent with the fewest.  An
+agent's branching size is its live options (undecided neighbors within
+its threshold that also have it within theirs) plus 1 while it may stay
+single.  Sizes are not recounted per node: each decision lowers them as
+options die, through the same trail that undoes the thresholds, and only
+the chosen agent's options are listed.  Neighbors are stored in each
+agent's rank order, so a lowered threshold walks only the options it cuts
+off.
 """
 
 from __future__ import annotations
@@ -22,6 +32,7 @@ from collections.abc import Collection, Iterator
 from dataclasses import dataclass
 from enum import Enum
 from math import inf
+from operator import itemgetter
 
 from .errors import BudgetExceeded
 from .model import AgentId, Matching, Profile
@@ -147,17 +158,51 @@ class _StableSearch:
         self.agents = profile.agents
         m = len(self.agents)
         index = {a: i for i, a in enumerate(self.agents)}
-        self.nbrs: list[list[int]] = []
-        self.rank: list[dict[int, int]] = []
+        ranks_of = {a: order.ranks for a, order in profile.orders.items()}
+        self.ranks = [ranks_of[a] for a in self.agents]
+        # links[i]: (q, i's rank of q, q's rank of i) for each neighbor q,
+        # in i's rank order (ties by id).  below[i][r]: the position in
+        # links[i] of the first neighbor i ranks in group r or worse, for r
+        # up to one past the last group, so every rank window is a slice.
+        self.links: list[list[tuple[int, int, int]]] = []
+        self.below: list[list[int]] = []
         for a in self.agents:
-            ranks = profile.orders[a].ranks  # symmetric: all rank ``a`` back
-            local = sorted(index[b] for b in ranks if b != a)
-            self.nbrs.append(local)
-            self.rank.append({q: ranks[self.agents[q]] for q in local})
+            order = profile.orders[a]
+            others = [b for b in order.members if b != a]
+            self.links.append(list(zip(
+                map(index.__getitem__, others),
+                map(order.ranks.__getitem__, others),
+                map(itemgetter(a), map(ranks_of.__getitem__, others)),
+            )))
+            starts = [*order.starts, len(order.members)]
+            if a in order.ranks:  # the owner's own entry is not a neighbor
+                own = order.ranks[a]
+                starts[own + 1:] = [s - 1 for s in starts[own + 1:]]
+            self.below.append([*starts, starts[-1]])
+        # span[i]: the id range [lo, hi) within two links of agent i, which
+        # bounds the sizes a decision on i can change.  Acceptability is
+        # symmetric, so the one-link ranges of i's neighbors cover i too.
+        ids = [[q for q, _, _ in links] for links in self.links]
+        near_lo = [min([i, *nbrs]) for i, nbrs in enumerate(ids)]
+        near_hi = [max([i, *nbrs]) for i, nbrs in enumerate(ids)]
+        self.span = [
+            (
+                min(map(near_lo.__getitem__, nbrs), default=i),
+                max(map(near_hi.__getitem__, nbrs), default=i) + 1,
+            )
+            for i, nbrs in enumerate(ids)
+        ]
+        # pair[i][q] for q > i: the one (agent i, agent q) tuple that every
+        # leaf holding that pair shares, made by the first such leaf.
+        self.pair: list[dict[int, tuple[AgentId, AgentId]]] = [{} for _ in range(m)]
         self.maxrank = [len(profile.orders[a].starts) for a in self.agents]
         self.can_unmatch = [True] * m
         self.decided = [False] * m
         self.partner = [-1] * m
+        # Branching size of each undecided agent: its live options plus 1
+        # while it may stay single.  A decided agent's size is ``closed``.
+        self.size = [len(links) + 1 for links in self.links]
+        self.closed = m + 1
         self.found: list[Matching] = []
 
     def run(self, budget: int, first_only: bool = False) -> list[Matching]:
@@ -166,73 +211,103 @@ class _StableSearch:
 
     # -- propagation ------------------------------------------------------
 
-    def _decide(self, x: int, q: int) -> list[tuple[list, int, object]]:
+    def _decide(self, x: int, q: int) -> list[tuple[list, object, object]]:
         """Give ``x`` partner ``q`` (-1: none); return the trail that undoes it.
 
-        Trail entries are (list, index, old value).  Every undecided
-        neighbor that a newly decided agent ranks above its partner (above
-        staying single: every neighbor) must end up matched at least as
-        well as it ranks that agent.
+        Trail entries are (list, index or slice, old value).  Every
+        undecided neighbor that a newly decided agent ranks above its
+        partner (above staying single: every neighbor) must end up matched
+        at least as well as it ranks that agent.  Sizes follow every option
+        that dies; one decision can kill many, so the trail keeps a copy of
+        the part of the size list it can reach rather than an entry per
+        change.
         """
         members = (x, q) if q >= 0 else (x,)
-        trail: list[tuple[list, int, object]] = []
+        links = self.links
+        maxrank, decided, size, can_unmatch = (
+            self.maxrank, self.decided, self.size, self.can_unmatch
+        )
+        lo, hi = self.span[x]
+        if q >= 0:
+            q_lo, q_hi = self.span[q]
+            lo, hi = (lo if lo < q_lo else q_lo), (hi if hi > q_hi else q_hi)
+        trail: list[tuple[list, object, object]] = [(size, slice(lo, hi), size[lo:hi])]
         for a in members:
-            trail.append((self.decided, a, False))
-            self.decided[a] = True
+            trail.append((decided, a, False))
+            decided[a] = True
+            size[a] = self.closed
         self.partner[x] = q
         if q >= 0:
             self.partner[q] = x
+        # The decided agents leave every option list they were live in.
         for a in members:
-            rank_a = self.rank[a]
-            limit = rank_a.get(self.partner[a], inf)
-            for z in self.nbrs[a]:
-                if not self.decided[z] and rank_a[z] < limit:
-                    if self.maxrank[z] > self.rank[z][a]:
-                        trail.append((self.maxrank, z, self.maxrank[z]))
-                        self.maxrank[z] = self.rank[z][a]
-                    if self.can_unmatch[z]:
-                        trail.append((self.can_unmatch, z, True))
-                        self.can_unmatch[z] = False
+            max_a = maxrank[a]
+            for z, fwd, back in links[a]:
+                if fwd > max_a:
+                    break
+                if back <= maxrank[z] and not decided[z]:
+                    size[z] -= 1
+        for a in members:
+            p = self.partner[a]
+            limit = self.ranks[a][self.agents[p]] if p >= 0 else inf
+            for z, fwd, new in links[a]:
+                if fwd >= limit:
+                    break
+                if decided[z]:
+                    continue
+                old = maxrank[z]
+                if old > new:
+                    trail.append((maxrank, z, old))
+                    maxrank[z] = new
+                    # Options of z ranked in groups new+1..old die on both
+                    # sides; liveness is read from the current state, so a
+                    # pair killed earlier is not counted again.
+                    below = self.below[z]
+                    for y, _, y_rank in links[z][below[new + 1]:below[old + 1]]:
+                        if y_rank <= maxrank[y] and not decided[y]:
+                            size[z] -= 1
+                            size[y] -= 1
+                if can_unmatch[z]:
+                    trail.append((can_unmatch, z, True))
+                    can_unmatch[z] = False
+                    size[z] -= 1
         return trail
 
     # -- search -----------------------------------------------------------
 
     def _choices(self, x: int) -> list[int]:
-        mx = self.maxrank[x]
-        rank_x = self.rank[x]
-        return [
-            q
-            for q in self.nbrs[x]
-            if not self.decided[q]
-            and rank_x[q] <= mx
-            and self.rank[q][x] <= self.maxrank[q]
+        """The live options of ``x``, in id order."""
+        maxrank, decided = self.maxrank, self.decided
+        end = self.below[x][maxrank[x] + 1]
+        options = [
+            q for q, _, back in self.links[x][:end] if back <= maxrank[q] and not decided[q]
         ]
+        options.sort()
+        return options
 
     def _pick_agent(self) -> tuple[int, list[int]]:
-        """Undecided agent with the fewest options.
+        """The undecided agent to branch on, with its options.
 
-        At a dead end it is one with no options that may not stay single.
+        It is the first agent in id order of size at most 1, else the first
+        of the smallest size.
         """
-        best: tuple[int, list[int]] | None = None
-        best_size = None
-        for x in range(len(self.agents)):
-            if self.decided[x]:
-                continue
-            options = self._choices(x)
-            size = len(options) + (1 if self.can_unmatch[x] else 0)
-            if size == 0:
-                return x, options
-            if best_size is None or size < best_size:
-                best, best_size = (x, options), size
-                if size == 1:
-                    break
-        return best
+        size = self.size
+        fewest = min(size)
+        x = size.index(fewest)
+        if fewest == 0:
+            # An earlier agent of size 1 still comes first.
+            try:
+                x = size.index(1, 0, x)
+            except ValueError:
+                pass
+        return x, self._choices(x)
 
     def _frame(self, first_only: bool, undecided: int):
         """A search frame for :func:`_depth_first`: one decision per child."""
         if not undecided:
+            pair, agents = self.pair, self.agents
             self.found.append(Matching([
-                (self.agents[i], self.agents[q])
+                pair[i].get(q) or pair[i].setdefault(q, (agents[i], agents[q]))
                 for i, q in enumerate(self.partner)
                 if q > i
             ]))

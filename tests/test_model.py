@@ -1,4 +1,4 @@
-"""Profiles, preference orders, acceptability graphs, and matchings."""
+"""Profiles, preference orders, restriction, and matchings."""
 
 from __future__ import annotations
 
@@ -17,9 +17,7 @@ from roommates import (
     OddAgentCount,
     PreferenceOrder,
     Profile,
-    acceptability_graph,
     break_ties_fixed,
-    build_profile,
     compare,
     fixture,
     most_acceptable_set,
@@ -29,7 +27,7 @@ from roommates import (
 
 from roommates import model
 
-from oracles import most_acceptable_by_scan, random_profile
+from oracles import most_acceptable_by_scan, mutually_acceptable_pairs, random_profile
 
 # ---------------------------------------------------------------------------
 # Validation
@@ -206,23 +204,8 @@ def test_most_acceptable_equals_argmax_by_compare(seed, n):
 
 
 # ---------------------------------------------------------------------------
-# Acceptability graph and restriction
+# Restriction
 # ---------------------------------------------------------------------------
-
-def test_complete_fixture_gives_complete_graph():
-    graph = acceptability_graph(fixture("example1"))
-    assert graph.edges == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-
-
-def test_incomplete_fixture_graph_edges():
-    graph = acceptability_graph(fixture("p2"))
-    assert graph.edges == ((0, 1), (0, 2), (0, 3), (1, 3), (2, 3))
-
-
-def test_two_agents_ranking_each_other_give_one_edge():
-    profile = build_profile({0: [[1]], 1: [[0]]})
-    assert acceptability_graph(profile).edges == ((0, 1),)
-
 
 def test_restrict_drops_agents_from_every_order():
     smaller = restrict(fixture("example1"), {1, 2})
@@ -252,12 +235,12 @@ def test_restricted_graph_is_the_induced_subgraph():
         n = rng.randint(3, 8)
         profile = random_profile(rng, n)
         removed = {a for a in profile.agents if rng.random() < 0.4}
-        expected = tuple(
+        expected = [
             (x, y)
-            for x, y in acceptability_graph(profile).edges
+            for x, y in mutually_acceptable_pairs(profile)
             if x not in removed and y not in removed
-        )
-        assert acceptability_graph(restrict(profile, removed)).edges == expected
+        ]
+        assert mutually_acceptable_pairs(restrict(profile, removed)) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +260,50 @@ def test_matching_rejects_self_pair():
 def test_matching_rejects_overlapping_pairs():
     with pytest.raises(ValueError, match="overlap"):
         Matching([(0, 1), (1, 2)])
+
+
+def pairs_by_the_plain_rule(pairs):
+    """Reference Matching normalization: rebuild, sort, walk for overlaps."""
+    normalized = []
+    for a, b in pairs:
+        if a == b:
+            raise ValueError(f"an agent cannot be matched with itself: {a}")
+        normalized.append((min(a, b), max(a, b)))
+    normalized.sort()
+    seen = set()
+    for a, b in normalized:
+        if a in seen or b in seen:
+            raise ValueError(f"pair ({a}, {b}) overlaps another pair")
+        seen.update((a, b))
+    return tuple(normalized)
+
+
+def outcome(build, pairs):
+    try:
+        return build(pairs)
+    except ValueError as error:
+        return str(error)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 7), st.integers(0, 7), st.sampled_from([tuple, list])),
+        max_size=5,
+    )
+)
+def test_matching_agrees_with_the_plain_rule(raw):
+    # Self-pairs, overlaps, list pairs and reversed pairs give the same
+    # pairs or the same error message as the reference.
+    pairs = [kind((a, b)) for a, b, kind in raw]
+    assert outcome(lambda p: Matching(p).pairs, pairs) == outcome(pairs_by_the_plain_rule, pairs)
+
+
+def test_matching_keeps_ordered_tuples_it_is_given():
+    first, second = (0, 3), (1, 2)
+    m = Matching([second, first, [5, 4]])
+    assert m.pairs == ((0, 3), (1, 2), (4, 5))
+    assert m.pairs[0] is first and m.pairs[1] is second
 
 
 def test_empty_profile_object_is_legal():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from roommates import (
     is_stable,
     parse_profile,
 )
+from roommates import stability
 
 from oracles import (
     all_matchings,
@@ -209,6 +211,70 @@ def test_smallest_passing_budgets_are_frozen(k, search, budget):
     with pytest.raises(BudgetExceeded):
         search(profile, budget=budget - 1)
     search(profile, budget=budget)
+
+
+def test_the_roadmap_instance_takes_44811_nodes():
+    profile = independent_set_to_sr(gen_degree3_graph(10, 0.4, seed=1), 5).profile
+    with pytest.raises(BudgetExceeded):
+        enumerate_stable_matchings(profile, budget=44_810)
+    assert enumerate_stable_matchings(profile, budget=44_811) == []
+
+
+def pick_by_scan(search):
+    """Reference pick: recount every undecided agent's options in id order."""
+    best = best_size = None
+    for x in range(len(search.agents)):
+        if search.decided[x]:
+            continue
+        size = len(search._choices(x)) + search.can_unmatch[x]
+        if size == 0:
+            return x
+        if best_size is None or size < best_size:
+            best, best_size = x, size
+            if size == 1:
+                break
+    return best
+
+
+class CheckedSearch(stability._StableSearch):
+    """The search, checking the maintained sizes and the pick at every node."""
+
+    nodes = 0
+
+    def _pick_agent(self):
+        CheckedSearch.nodes += 1
+        for x in range(len(self.agents)):
+            if not self.decided[x]:
+                assert self.size[x] == len(self._choices(x)) + self.can_unmatch[x]
+        x, options = super()._pick_agent()
+        assert x == pick_by_scan(self)
+        return x, options
+
+
+def test_maintained_sizes_equal_a_recount_at_every_node():
+    rng = random.Random(41)
+    CheckedSearch.nodes = 0
+    for _ in range(500):
+        n = rng.randint(2, 10)
+        profile = random_profile(
+            rng, n, p_edge=rng.choice([0.4, 0.7, 1.0]), p_tie=rng.choice([0.0, 0.3, 0.6])
+        )
+        CheckedSearch(profile).run(budget=10**6)
+    assert CheckedSearch.nodes > 8_000
+
+
+def test_enumerate_stores_at_most_24_bytes_per_pair():
+    # Every leaf shares the search's one tuple per acceptable pair.
+    profile = independent_set_to_sr(gen_degree3_graph(9, 0.4, seed=2), 4).profile
+    tracemalloc.start()
+    try:
+        found = enumerate_stable_matchings(profile)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    pairs = sum(len(m) for m in found)
+    assert len(found) == 2_304
+    assert peak / pairs <= 24
 
 
 def test_searches_on_a_long_path_do_not_run_out_of_stack():
