@@ -31,18 +31,6 @@ class DuplicateInOrder(RoommatesError):
         super().__init__(f"agent {duplicate} appears twice in the order of agent {agent}")
 
 
-class IsolatedAgent(RoommatesError):
-    """An agent is acceptable to nobody else."""
-
-    def __init__(self, agent: int):
-        self.agent = agent
-        super().__init__(f"agent {agent} is acceptable to no other agent")
-
-
-class OddAgentCount(UserWarning):
-    """A profile has an odd number of agents (legal, but no perfect matching)."""
-
-
 # ---------------------------------------------------------------------------
 # Search budgets and size limits
 # ---------------------------------------------------------------------------

@@ -4,10 +4,11 @@ Agents are plain non-negative ints.  A preference order ranks the agents
 its owner finds acceptable in tie groups, best group first; an agent may
 list itself.  It is stored flat: the members in rank order (ascending
 inside a tie group), the offset where each group starts, and a rank table
-built with the order.  The frozenset ``groups`` and ``acceptable`` are
-views derived from that storage on request.  A profile bundles one order
-per agent; its constructor checks that acceptability is symmetric and
-that no order names an agent twice.
+built with the order; the frozenset ``groups`` are a view derived from
+that storage on request.  A profile bundles one order per agent, and its
+constructor is the one validity check: acceptability is symmetric and no
+order names an agent twice.  Nothing more is required, so an agent may
+rank nobody and the number of agents may be odd.
 
 Top-level profiles use dense ids ``0..n-1``.  Profiles produced by
 :func:`restrict` keep the surviving agents' original ids, so sub-profiles
@@ -16,35 +17,16 @@ stay comparable with the instance they came from.
 
 from __future__ import annotations
 
-import logging
-import warnings
 from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import cached_property
 from itertools import accumulate, chain, pairwise
 
-from .errors import (
-    AsymmetricAcceptability,
-    DuplicateInOrder,
-    IsolatedAgent,
-    OddAgentCount,
-)
-
-logger = logging.getLogger(__name__)
+from .errors import AsymmetricAcceptability, DuplicateInOrder
 
 AgentId = int
 
 RawOrder = Sequence[Iterable[AgentId]]
-
-
-class Comparison(Enum):
-    """Outcome of comparing two agents inside one preference order."""
-
-    STRICTLY_BETTER = "strictly_better"
-    TIED = "tied"
-    STRICTLY_WORSE = "strictly_worse"
-    INCOMPARABLE = "incomparable"
 
 
 # Python caches only small int objects, so rank values and offsets are
@@ -70,7 +52,7 @@ class PreferenceOrder:
     tie group, and ``starts`` holds the offset in ``members`` where each
     group begins: a ``range`` when every group is a singleton, else a tuple.
     ``ranks`` maps each member to its group's index and is built with the
-    order.  ``groups`` and ``acceptable`` are views derived on each call.
+    order.  ``groups`` is a view derived on each call.
 
     Build orders with :meth:`from_groups`.  The constructor is the library's
     internal fast path: it trusts that ``starts`` are valid offsets and that
@@ -138,16 +120,8 @@ class PreferenceOrder:
         return tuple(frozenset(g) for g in self.group_slices())
 
     @property
-    def acceptable(self) -> frozenset[AgentId]:
-        """All agents this owner ranks, possibly including itself."""
-        return frozenset(self.ranks)
-
-    @property
     def has_tie(self) -> bool:
         return len(self.starts) != len(self.members)
-
-    def rank_of(self, x: AgentId) -> int | None:
-        return self.ranks.get(x)
 
     def without(self, removed: Collection[AgentId]) -> "PreferenceOrder":
         """Copy of this order with ``removed`` deleted and empty groups dropped."""
@@ -167,7 +141,8 @@ class Profile:
 
     The constructor copies ``orders`` and raises DuplicateInOrder for an
     agent twice in one order and AsymmetricAcceptability for a one-sided
-    pair.  Ids may be sparse and isolated agents are allowed.
+    pair.  Ids may be sparse, isolated agents are allowed and the number
+    of agents may be odd.
     """
 
     orders: Mapping[AgentId, PreferenceOrder]
@@ -285,48 +260,9 @@ def build_profile(orders: Mapping[AgentId, RawOrder]) -> Profile:
     })
 
 
-def validate_profile(raw_orders: Sequence[RawOrder]) -> Profile:
-    """Validate dense raw orders (agent ``i`` = ``raw_orders[i]``) into a Profile.
-
-    Raises the error for the first violated invariant: DuplicateInOrder,
-    AsymmetricAcceptability, or IsolatedAgent.  An odd number of agents is
-    legal but unusual, so it is flagged as an :class:`OddAgentCount` warning
-    rather than an error.
-    """
-    if not raw_orders:
-        raise ValueError("raw_orders must be non-empty")
-    profile = build_profile({i: raw for i, raw in enumerate(raw_orders)})
-    # Under symmetry, nobody else ranks i exactly when i ranks nobody else.
-    for i, order in profile.orders.items():
-        if len(order.ranks) == (i in order.ranks):
-            raise IsolatedAgent(i)
-    if profile.n_agents % 2 == 1:
-        warnings.warn(OddAgentCount(f"profile has an odd number of agents ({profile.n_agents})"))
-    return profile
-
-
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
-
-def compare(profile: Profile, i: AgentId, x: AgentId, y: AgentId) -> Comparison:
-    """How agent ``i`` ranks ``x`` against ``y``.
-
-    INCOMPARABLE when either is outside ``i``'s acceptable set; otherwise the
-    verdict follows the tie-group indices (comparing an agent to itself is
-    TIED by reflexivity).
-    """
-    ranks = profile.order(i).ranks
-    rx = ranks.get(x)
-    ry = ranks.get(y)
-    if rx is None or ry is None:
-        return Comparison.INCOMPARABLE
-    if rx < ry:
-        return Comparison.STRICTLY_BETTER
-    if rx > ry:
-        return Comparison.STRICTLY_WORSE
-    return Comparison.TIED
-
 
 def most_acceptable_set(profile: Profile, i: AgentId) -> frozenset[AgentId]:
     """Members of ``i``'s best tie group once ``i`` itself is set aside."""
@@ -341,8 +277,8 @@ def restrict(profile: Profile, removed: Iterable[AgentId]) -> Profile:
     """The profile on the remaining agents, with ``removed`` deleted everywhere.
 
     Surviving agents keep their ids.  Agents whose acceptable set (beyond
-    themselves) becomes empty are kept — deleting them too would change which
-    agents exist — but the event is logged so callers notice.
+    themselves) becomes empty are kept: deleting them too would change which
+    agents exist.
     """
     gone = frozenset(removed)
     unknown = gone - profile.agent_set
@@ -353,11 +289,4 @@ def restrict(profile: Profile, removed: Iterable[AgentId]) -> Profile:
         for i, order in profile.orders.items()
         if i not in gone
     }
-    emptied = sorted(
-        i for i, order in kept_orders.items() if not order.ranks.keys() - {i}
-    )
-    if emptied:
-        logger.warning(
-            "restrict left agents %s with empty acceptable sets", emptied
-        )
     return Profile(orders=kept_orders)

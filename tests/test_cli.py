@@ -22,10 +22,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from roommates import (
+    BetweennessInstance,
     GeneratorConfig,
     Graph,
     Matching,
     WitnessOrder,
+    betweenness_to_sc_instance,
+    betweenness_to_sp_instance,
     find_blocking_pairs,
     fixture,
     gen_narcissistic_sp,
@@ -156,6 +159,33 @@ def test_check_against_a_swapped_axis_keeps_its_witnesses(tmp_path):
     assert result.returncode == 0
     assert result.stdout == SWAPPED_AXIS_CHECK
     assert result.stderr == ""
+
+
+@pytest.mark.parametrize(
+    "reduce, n_agents, stable",
+    [
+        (betweenness_to_sp_instance, 6, "matching: 1,4 2,5\n"),
+        (betweenness_to_sc_instance, 7, "matching: 0,4 1,5 2,6\n"),
+    ],
+    ids=["sp", "sc"],
+)
+def test_isolated_agents_and_odd_counts_are_valid_profiles(
+    reduce, n_agents, stable, tmp_path, capsys
+):
+    # The betweenness reductions leave agent 3, a universe member outside
+    # every triple, ranking nobody; the SC one has an odd agent count.
+    profile = reduce(BetweennessInstance(4, [(0, 1, 2)])).profile
+    assert profile.n_agents == n_agents
+    assert not profile.order(3).ranks
+    text = serialize_profile(profile)
+    assert "pref 3:\n" in text
+    assert parse_profile(text) == profile
+    path = tmp_path / "reduced.prof"
+    path.write_text(text)
+    assert cli.main(["check", str(path)]) == 0
+    capsys.readouterr()
+    assert cli.main(["enumerate", str(path)]) == 0
+    assert capsys.readouterr().out == stable
 
 
 def test_check_output_is_reproducible(workdir):

@@ -50,7 +50,7 @@ def test_unknown_fixture_reports_the_catalogue():
 def test_incomplete_fixture_shapes():
     p1 = fixture("p1")
     for hub in (4, 5):
-        assert len(p1.order(hub).acceptable - {hub}) == 4
+        assert len(p1.order(hub).ranks.keys() - {hub}) == 4
     assert fixture("fig2b").order(0).groups[0] == {0, 1}
 
 

@@ -10,19 +10,15 @@ from hypothesis import strategies as st
 
 from roommates import (
     AsymmetricAcceptability,
-    Comparison,
     DuplicateInOrder,
-    IsolatedAgent,
     Matching,
-    OddAgentCount,
     PreferenceOrder,
     Profile,
     break_ties_fixed,
-    compare,
+    build_profile,
     fixture,
     most_acceptable_set,
     restrict,
-    validate_profile,
 )
 
 from roommates import model
@@ -43,24 +39,13 @@ def test_example_fixture_validates():
 
 def test_asymmetric_acceptability_is_rejected():
     with pytest.raises(AsymmetricAcceptability) as info:
-        validate_profile([[[0], [1]], [[1]]])
+        build_profile({0: [[0], [1]], 1: [[1]]})
     assert (info.value.i, info.value.j) in {(0, 1), (1, 0)}
-
-
-def test_self_only_agents_are_isolated():
-    with pytest.raises(IsolatedAgent):
-        validate_profile([[[0]], [[1]]])
 
 
 def test_duplicate_entry_in_an_order_is_rejected():
     with pytest.raises(DuplicateInOrder):
-        validate_profile([[[0], [1], [1]], [[1], [0]]])
-
-
-def test_isolated_agent_is_the_first_that_ranks_nobody_else():
-    with pytest.raises(IsolatedAgent) as info:
-        validate_profile([[[0], [1]], [[1], [0]], [[2]], [[3]]])
-    assert info.value.agent == 2
+        build_profile({0: [[0], [1], [1]], 1: [[1], [0]]})
 
 
 def test_direct_construction_rejects_a_partner_outside_the_profile():
@@ -108,63 +93,9 @@ def test_derived_profiles_are_checked_when_built(monkeypatch):
     assert checked == [[0, 1, 2], [0, 1, 2, 3]]
 
 
-def test_empty_profile_input_is_rejected():
-    with pytest.raises(ValueError):
-        validate_profile([])
-
-
-def test_odd_agent_count_only_warns():
-    raw = [[[0], [1]], [[1], [0], [2]], [[2], [1]]]
-    with pytest.warns(OddAgentCount):
-        profile = validate_profile(raw)
-    assert profile.n_agents == 3
-
-
 def test_profile_rejects_lookup_of_unknown_agent():
     with pytest.raises(ValueError):
         fixture("example1").order(99)
-
-
-# ---------------------------------------------------------------------------
-# compare
-# ---------------------------------------------------------------------------
-
-def test_compare_reads_the_tie():
-    # Agent 3 of the four-agent example (id 2) ranks 2 ~ 4 (ids 1, 3).
-    assert compare(fixture("example1"), 2, 1, 3) is Comparison.TIED
-
-
-def test_compare_self_is_tied_when_acceptable():
-    profile = fixture("example1")
-    assert compare(profile, 0, 1, 1) is Comparison.TIED
-
-
-def test_compare_unranked_agent_is_incomparable():
-    # In fixture p2, agent 2 (1-based) ranks only 2, 4, 1 — not 3.
-    assert compare(fixture("p2"), 1, 2, 0) is Comparison.INCOMPARABLE
-    assert compare(fixture("p2"), 1, 0, 2) is Comparison.INCOMPARABLE
-
-
-def test_compare_strict_directions():
-    profile = fixture("example1")
-    assert compare(profile, 0, 1, 2) is Comparison.STRICTLY_BETTER
-    assert compare(profile, 0, 2, 1) is Comparison.STRICTLY_WORSE
-
-
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 10**6), n=st.integers(2, 7))
-def test_compare_antisymmetry(seed, n):
-    profile = random_profile(random.Random(seed), n)
-    flipped = {
-        Comparison.STRICTLY_BETTER: Comparison.STRICTLY_WORSE,
-        Comparison.STRICTLY_WORSE: Comparison.STRICTLY_BETTER,
-        Comparison.TIED: Comparison.TIED,
-        Comparison.INCOMPARABLE: Comparison.INCOMPARABLE,
-    }
-    for i in profile.agents:
-        for x in profile.agents:
-            for y in profile.agents:
-                assert compare(profile, i, y, x) is flipped[compare(profile, i, x, y)]
 
 
 # ---------------------------------------------------------------------------
@@ -185,21 +116,9 @@ def test_most_acceptable_is_singleton_without_ties():
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10**6), n=st.integers(2, 7))
-def test_most_acceptable_equals_argmax_by_compare(seed, n):
+def test_most_acceptable_equals_the_scan(seed, n):
     profile = random_profile(random.Random(seed), n)
     for i in profile.agents:
-        acceptable = [a for a in profile.order(i).acceptable if a != i]
-        argmax = {
-            x
-            for x in acceptable
-            if all(
-                compare(profile, i, x, z)
-                in (Comparison.STRICTLY_BETTER, Comparison.TIED)
-                for z in acceptable
-                if z != x
-            )
-        }
-        assert most_acceptable_set(profile, i) == argmax
         assert most_acceptable_set(profile, i) == most_acceptable_by_scan(profile, i)
 
 
