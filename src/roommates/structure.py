@@ -152,16 +152,28 @@ def is_single_peaked_wrt(profile: Profile, order: OrderLike) -> Verdict:
 def _first_valley_witness(
     order: PreferenceOrder, pos: dict[AgentId, int]
 ) -> tuple[AgentId, AgentId, AgentId, AgentId]:
-    """Lexicographically smallest (i, x, y, z) violating the no-valley rule."""
+    """Lexicographically smallest (i, x, y, z) violating the no-valley rule.
+
+    One pass along the axis makes each (x, y) an O(1) test, so the search
+    takes O(n^2) time instead of trying every triple.
+    """
     ranks = order.ranks
+    # best_after[a]: the best rank held after a along the axis, so y is the
+    # middle of a valley exactly when best_after[y] < ranks[y].
+    best_after: dict[AgentId, int] = {}
+    best = len(ranks)
+    for a in sorted(ranks, key=pos.__getitem__, reverse=True):
+        best_after[a] = best
+        best = min(best, ranks[a])
     members = sorted(ranks)
     for x in members:
+        px, rx = pos[x], ranks[x]
         for y in members:
-            if y == x or pos[x] >= pos[y] or ranks[x] >= ranks[y]:
-                continue
-            for z in members:
-                if z != x and z != y and pos[y] < pos[z] and ranks[z] < ranks[y]:
-                    return (order.owner, x, y, z)
+            ry = ranks[y]
+            if pos[y] > px and rx < ry and best_after[y] < ry:
+                py = pos[y]
+                z = next(z for z in members if pos[z] > py and ranks[z] < ry)
+                return (order.owner, x, y, z)
     raise AssertionError("caller guarantees a violation exists")
 
 
@@ -268,17 +280,26 @@ def _discord(
     D_x = ku[x] + kv[x] - 2(P + Q).  One sweep over u's
     groups, keeping v's keys of the agents already passed sorted, finds P
     and Q with one bisection each: O(n log n) comparisons, plus O(n^2)
-    element moves for the insertions.
+    element moves for the insertions.  A lone agent's insertion point is
+    its P, so its Q is searched for from there.
     """
     out = [a + b for a, b in zip(ku, kv)]
     passed: list[int] = []
-    for group in order.group_slices():
-        members = [index[a] for a in group]
-        for x in members:
+    members = order.members
+    for lo, hi in pairwise((*order.starts, len(members))):
+        if hi - lo == 1:
+            x = index[members[lo]]
+            k = kv[x]
+            at = bisect_left(passed, k)
+            passed.insert(at, k)
+            out[x] -= 2 * (at + bisect_right(passed, k, at))
+            continue
+        group = [index[a] for a in members[lo:hi]]
+        for x in group:
             out[x] -= 2 * bisect_left(passed, kv[x])
-        for x in members:
+        for x in group:
             insort(passed, kv[x])
-        for x in members:
+        for x in group:
             out[x] -= 2 * bisect_right(passed, kv[x])
     return out
 
@@ -399,7 +420,11 @@ def break_ties_fixed(profile: Profile, tiebreak: OrderLike) -> Profile:
 
 
 def is_sc_wrt(
-    profile: Profile, order: OrderLike, *, max_tie_group: int = 6
+    profile: Profile,
+    order: OrderLike,
+    *,
+    max_tie_group: int = 6,
+    tssc: Verdict | None = None,
 ) -> bool:
     """Is some per-agent linear extension single-crossing w.r.t. ``order``?
 
@@ -409,11 +434,19 @@ def is_sc_wrt(
     refuses tie groups larger than ``max_tie_group`` (TieGroupTooLarge)
     rather than guessing.
 
+    ``tssc``, when given, must be :func:`is_tssc_wrt` of this same profile
+    and axis; it is trusted, not re-checked.  A yes settles the question,
+    since breaking ties by any one global order keeps every pair's blocks
+    monotone, and without ties the two properties coincide, so a no does
+    too.  Only a tied profile with a tssc no is then decided here.
+
     The strict check costs what :func:`is_tssc_wrt` does: O(n^2 log n)
     comparisons when every voter ranks every agent, itself included, else
     O(n^3) time.
     """
     pos = _order_positions(profile, order)
+    if tssc is not None and (tssc.ok or not has_ties(profile)):
+        return tssc.ok
     if not has_ties(profile):
         return _first_crossing_violation(profile, pos) is None
     tiebroken = break_ties_fixed(profile, WitnessOrder(sorted(profile.agent_set)))
@@ -641,7 +674,7 @@ def property_report(profile: Profile, order: OrderLike | None = None) -> Propert
         single_peaked = is_single_peaked_wrt(profile, order)
         tssc = is_tssc_wrt(profile, order)
         try:
-            single_crossing = is_sc_wrt(profile, order)
+            single_crossing = is_sc_wrt(profile, order, tssc=tssc)
         except TieGroupTooLarge as exc:
             notes.append(str(exc))
     return PropertyReport(

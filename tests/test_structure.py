@@ -10,6 +10,7 @@ import pytest
 
 from roommates import (
     GeneratorConfig,
+    PreferenceOrder,
     TieGroupTooLarge,
     TiesUnsupported,
     TooManyAgents,
@@ -122,13 +123,16 @@ def test_axis_must_be_a_permutation_of_the_agents():
 
 def test_single_peaked_matches_the_definition_on_random_profiles():
     rng = random.Random(3)
+    failures = 0
     for _ in range(60):
         profile = random_profile(rng, rng.randint(2, 6), p_tie=0.3)
         order = list(profile.agents)
         rng.shuffle(order)
-        assert bool(is_single_peaked_wrt(profile, order)) == (
-            single_peaked_by_definition(profile, order)
-        )
+        verdict = is_single_peaked_wrt(profile, order)
+        assert verdict.ok == single_peaked_by_definition(profile, order)
+        assert verdict.witness == first_valley_witness(profile, order)
+        failures += not verdict.ok
+    assert failures >= 20  # 29 at this seed
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +268,50 @@ def test_kendall_path_matches_the_definitions_on_complete_profiles():
     assert tssc_failures >= 100 and sc_checked >= 120
 
 
+def _definitional_discord(u, v, agents):
+    """sum over y != x of |s_u(x, y) - s_v(x, y)|, for each x in ``agents``."""
+    def s(order, x, y):
+        rx, ry = order.ranks[x], order.ranks[y]
+        return (rx > ry) - (rx < ry)
+
+    return [
+        sum(abs(s(u, x, y) - s(v, x, y)) for y in agents if y != x) for x in agents
+    ]
+
+
+def _random_grouped_order(rng, owner, agents):
+    """Every agent in random order, cut into tie groups of 1-3 members."""
+    pool = list(agents)
+    rng.shuffle(pool)
+    groups = []
+    while pool:
+        size = rng.randint(1, 3)
+        groups.append(pool[:size])
+        pool = pool[size:]
+    return PreferenceOrder.from_groups(owner, groups)
+
+
+def test_discord_matches_the_definition_on_tied_order_pairs():
+    rng = random.Random(18)
+    # Where a tie group sits: first, strictly inside, last.
+    tied_at = {"start": 0, "middle": 0, "end": 0}
+    for _ in range(400):
+        agents = sorted(rng.sample(range(20), rng.randint(1, 10)))
+        u = _random_grouped_order(rng, agents[0], agents)
+        v = _random_grouped_order(rng, agents[-1], agents)
+        last = len(u.starts) - 1
+        for g in range(last + 1):
+            if len(u.group(g)) > 1:
+                tied_at["start" if g == 0 else "end" if g == last else "middle"] += 1
+        index = {a: k for k, a in enumerate(agents)}
+        ku = structure._doubled_midranks(u, index)
+        kv = structure._doubled_midranks(v, index)
+        assert structure._discord(u, index, ku, kv) == (
+            _definitional_discord(u, v, agents)
+        )
+    assert min(tied_at.values()) >= 100
+
+
 def test_kendall_path_matches_the_scan_on_larger_profiles():
     rng = random.Random(15)
     cases = []
@@ -379,6 +427,69 @@ def test_oversized_tie_groups_are_refused_not_guessed():
     with pytest.raises(TieGroupTooLarge):
         is_sc_wrt(profile, WitnessOrder(range(8)))
     assert is_sc_wrt(profile, WitnessOrder(range(8)), max_tie_group=7)
+
+
+def _sc_outcome(profile, axis, **kwargs):
+    """is_sc_wrt's answer, or the type of the error it raises."""
+    try:
+        return is_sc_wrt(profile, axis, **kwargs)
+    except TieGroupTooLarge:
+        return TieGroupTooLarge
+
+
+def test_a_passed_tssc_verdict_gives_the_same_answer():
+    rng = random.Random(19)
+    cases = list(_complete_cases(rng))
+    for p_tie in (0.0, 0.3, 0.6):
+        for _ in range(60):
+            profile = random_profile(rng, rng.randint(2, 7), p_tie=p_tie)
+            axis = list(profile.agents)
+            rng.shuffle(axis)
+            cases.append((profile, axis))
+    checked = incomplete = tssc_no_tied = 0
+    for profile, axis in cases:
+        tssc = is_tssc_wrt(profile, axis)
+        answer = _sc_outcome(profile, axis, tssc=tssc)
+        assert answer == _sc_outcome(profile, axis)
+        tssc_no_tied += not tssc.ok and has_ties(profile)
+        try:
+            expected = sc_by_definition(profile, axis, cap=4096)
+        except ValueError:
+            continue  # too many tie resolutions for the oracle
+        assert answer == expected
+        checked += 1
+        incomplete += not is_complete(profile)
+    assert checked >= 250 and incomplete >= 80 and tssc_no_tied >= 50
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(structure, name)
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(structure, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "ties, swap, kendall, tiebreaks",
+    [(False, True, 1, 0), (True, False, 1, 0), (True, True, 2, 1)],
+    ids=["strict-swapped", "tied-true-axis", "tied-swapped"],
+)
+def test_report_decides_crossing_once_unless_tssc_fails_on_ties(
+    monkeypatch, ties, swap, kendall, tiebreaks
+):
+    profile, axis = gen_narcissistic_sp(GeneratorConfig(30, ties, 0.5, seed=3))
+    order = _adjacent_swap(axis, 15) if swap else axis.sequence
+    assert has_ties(profile) == ties
+    kendall_calls = _count_calls(monkeypatch, "_kendall_crossing_violation")
+    tiebreak_calls = _count_calls(monkeypatch, "break_ties_fixed")
+    report = property_report(profile, order)
+    assert report.tssc.ok == (not swap)
+    assert (len(kendall_calls), len(tiebreak_calls)) == (kendall, tiebreaks)
 
 
 # ---------------------------------------------------------------------------
