@@ -14,11 +14,9 @@ ascending — so equal objects always produce byte-identical files.
 
 from __future__ import annotations
 
-from itertools import pairwise
-
 from .coloring import Graph
 from .errors import ParseError
-from .model import AgentId, Matching, PreferenceOrder, Profile
+from .model import AgentId, Matching, PreferenceOrder, Profile, _tie_groups
 from .reduction import BetweennessInstance
 from .structure import WitnessOrder
 
@@ -59,10 +57,14 @@ def parse_profile(text: str) -> Profile:
     (an empty right-hand side is a legal empty order).
 
     Linear in the size of the text.  When there are exactly N ``pref``
-    lines, members are looked up in a table of the canonical ids
-    ``"0"..."N-1"``; a line the table cannot read, and every line of a file
-    with another count, is read token by token instead, which accepts any
-    integer spelling and raises the precise error.
+    lines, each line is split at `` | `` and every whole chunk is looked up
+    in a table of the canonical ids ``"0"..."N-1"``: a singleton group costs
+    one lookup, and only a chunk the table misses, such as a tie group, is
+    split into its members.  A line with a missed chunk that is not
+    canonical ids joined by single spaces, or with an agent named twice,
+    and every line of a file with another count, is read token by token
+    instead, which accepts any spacing and integer spelling and raises the
+    precise error.
     """
     lines = list(_lines(text))
     if not lines:
@@ -72,7 +74,6 @@ def parse_profile(text: str) -> Profile:
     table: dict[str, AgentId] = {}
     if len(lines) - 1 == n:
         table = dict(zip(map(str, range(n)), range(n)))
-        table["|"] = -1
     orders: dict[AgentId, PreferenceOrder | list[list[AgentId]]] = {}
     for line_no, body in lines[1:]:
         head, sep, tail = body.partition(":")
@@ -101,34 +102,34 @@ def _flat_order(
 ) -> PreferenceOrder | None:
     """The order a ``pref`` line's right-hand side spells, or None.
 
-    ``table`` maps each canonical id, and ``|`` to -1.  None means the line
-    needs :func:`_raw_groups`: a token outside the table, an empty tie
-    group, or an agent named twice.
+    ``table`` maps each canonical id.  Only the chunks between `` | `` that
+    the table misses are split into members.  None means the line needs
+    :func:`_raw_groups`: a missed chunk that is not canonical ids joined by
+    single spaces, or an agent named twice.
     """
-    try:
-        values = [table[token] for token in tail.replace("|", " | ").split()]
-    except KeyError:
-        return None
-    members: list[AgentId] = []
-    starts: list[int] = []
-    opened = False
-    for value in values:
-        if value >= 0:
-            if not opened:
+    chunks = tail.strip().split(" | ")
+    values = list(map(table.get, chunks))
+    size = len(values)
+    if None not in values:
+        order = PreferenceOrder(agent, tuple(values), range(size))
+    else:
+        values.append(None)  # ends the last scan
+        members: list[AgentId] = []
+        starts: list[int] = []
+        lo = 0
+        while lo < size:
+            hit = values.index(None, lo)
+            starts += range(len(members), len(members) + hit - lo)
+            members += values[lo:hit]
+            if hit < size:
+                group = list(map(table.get, chunks[hit].split(" ")))
+                if None in group:
+                    return None
                 starts.append(len(members))
-                opened = True
-            members.append(value)
-        elif opened:
-            opened = False
-        else:
-            return None
-    if values and not opened:
-        return None
-    for lo, hi in pairwise((*starts, len(members))):
-        if hi - lo > 1:
-            members[lo:hi] = sorted(members[lo:hi])
-    order = PreferenceOrder(agent, tuple(members), starts)
-    return order if len(order.ranks) == len(members) else None
+                members += sorted(group)
+            lo = hit + 1
+        order = PreferenceOrder(agent, tuple(members), starts)
+    return order if len(order.ranks) == len(order.members) else None
 
 
 def _raw_groups(tail: str, n: int, line_no: int) -> list[list[AgentId]]:
@@ -158,8 +159,10 @@ def serialize_profile(profile: Profile) -> str:
         order = profile.orders[i]
         parts = list(map(names.__getitem__, order.members))
         if order.has_tie:
-            bounds = pairwise((*order.starts, len(parts)))
-            for lo, hi in reversed([(lo, hi) for lo, hi in bounds if hi - lo > 1]):
+            starts = order.starts
+            for g in reversed(_tie_groups(starts, len(parts))):
+                lo = starts[g]
+                hi = starts[g + 1] if g + 1 < len(starts) else len(parts)
                 parts[lo:hi] = [" ".join(parts[lo:hi])]
         out.append(f"pref {names[i]}: {' | '.join(parts)}".rstrip())
     return "\n".join(out) + "\n"

@@ -17,10 +17,11 @@ stay comparable with the instance they came from.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain, pairwise
+from itertools import chain, pairwise
 
 from .errors import AsymmetricAcceptability, DuplicateInOrder
 
@@ -42,6 +43,25 @@ def _ints(size: int) -> list[int]:
     if len(ints) < size:
         ints = _INTS = ints + list(range(len(ints), max(size, 2 * len(ints))))
     return ints
+
+
+def _tie_groups(starts: Sequence[int], size: int) -> list[int]:
+    """Indices of the groups with two or more members, ascending.
+
+    ``starts`` are the group offsets of an order with ``size`` members.
+    ``starts[g] - g`` never decreases and rises just after each tie group,
+    so one bisection per tie finds them all: O(t log g) steps for t ties
+    among g groups.
+    """
+    count = len(starts)
+    ties: list[int] = []
+    g, excess = 0, 0
+    while excess < size - count and g < count:
+        # The first group after g with a larger excess follows a tie.
+        g = bisect_right(range(count), excess, g + 1, key=lambda h: starts[h] - h)
+        ties.append(g - 1)
+        excess = (starts[g] if g < count else size) - g
+    return ties
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,13 +92,24 @@ class PreferenceOrder:
             starts: Sequence[int] = range(size)
             values: Iterable[int] = numbers
         else:
-            starts = tuple(map(numbers.__getitem__, self.starts))
-            # steps[p] is 1 where a group other than the first begins, so
-            # its running sum is the group index at each position.
-            steps = [0] * size
-            for s in starts[1:]:
-                steps[s] = 1
-            values = map(numbers.__getitem__, accumulate(steps))
+            # Between two tie groups every group is a singleton, so there
+            # both the offsets and the rank values are runs of consecutive
+            # numbers; each run is one slice, and only a tie group adds a
+            # repeated value.
+            count = len(self.starts)
+            offsets: list[int] = []
+            values = []
+            g = 0
+            for t in _tie_groups(self.starts, size):
+                lo = self.starts[t]
+                hi = self.starts[t + 1] if t + 1 < count else size
+                offsets += numbers[lo - t + g:lo + 1]
+                values += numbers[g:t]
+                values += [numbers[t]] * (hi - lo)
+                g = t + 1
+            offsets += numbers[size - count + g:size]
+            values += numbers[g:count]
+            starts = tuple(offsets)
         object.__setattr__(self, "starts", starts)
         object.__setattr__(self, "ranks", dict(zip(self.members, values)))
 

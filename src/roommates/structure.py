@@ -135,12 +135,15 @@ def is_single_peaked_wrt(profile: Profile, order: OrderLike) -> Verdict:
 
     An order passes exactly when its ranks along the axis never rise and
     then fall, since the largest rank between a rise and a later fall is
-    a valley.  One sort and a few linear passes per agent check that.
+    a valley.  A few linear passes per agent check that.  An order that
+    ranks every agent is read along the axis itself; any other order is
+    first sorted by axis position.
     """
     pos = _order_positions(profile, order)
     for i in sorted(profile.orders):
         ranks = profile.orders[i].ranks
-        seq = list(map(ranks.__getitem__, sorted(ranks, key=pos.__getitem__)))
+        along = pos if len(ranks) == len(pos) else sorted(ranks, key=pos.__getitem__)
+        seq = list(map(ranks.__getitem__, along))
         rises = list(map(lt, seq, seq[1:]))
         if True in rises:
             k = rises.index(True)

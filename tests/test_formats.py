@@ -37,6 +37,7 @@ from roommates import (
     serialize_profile,
     serialize_roles,
 )
+from roommates import formats
 
 from oracles import random_profile
 
@@ -390,7 +391,7 @@ def edited_profile_texts(draw):
         w = draw(st.integers(0, len(words) - 1))
         edit = draw(st.sampled_from(
             ["spell", "repeat", "move", "bar", "junk", "range", "drop", "swap",
-             "comment", "squeeze"]))
+             "comment", "squeeze", "pad", "glue", "edge", "tie"]))
         if edit == "spell" and words[w].isdigit():
             words[w] = draw(st.sampled_from(_spellings(words[w])))
         elif edit == "repeat" and words[w].isdigit():
@@ -414,6 +415,25 @@ def edited_profile_texts(draw):
             words.append("# pref 0: 1")
         elif edit == "squeeze":
             words = [" ".join(words).replace(" | ", "|")]
+        elif edit == "pad" and words[w] == "|":
+            # A tab or a doubled space next to the bar.
+            words[w] = draw(st.sampled_from(["\t|", "|\t", " |", "| "]))
+        elif edit == "glue" and words[w] == "|" and 0 < w < len(words) - 1:
+            # "3|" or "|3": the bar glued to its left or right neighbour.
+            if draw(st.booleans()):
+                words[w - 1:w + 1] = [words[w - 1] + "|"]
+            else:
+                words[w:w + 2] = ["|" + words[w + 1]]
+        elif edit == "edge" and len(words) > 1:
+            # A leading or a trailing bar on the right-hand side.
+            words.insert(2 if draw(st.booleans()) else len(words), "|")
+        elif edit == "tie" and words[w].isdigit():
+            # Repeat w, then drop the bar nearest to it: w's group merges
+            # with a neighbour and holds three or more tokens, w twice.
+            words.insert(w, words[w])
+            bars = [b for b, word in enumerate(words) if word == "|"]
+            if bars:
+                del words[min(bars, key=lambda b: abs(b - w))]
         lines[k] = " ".join(words)
     return "\n".join(lines) + "\n"
 
@@ -443,3 +463,56 @@ def test_edited_profiles_parse_like_the_plain_reader(text):
     canonical = serialize_profile(profile)
     assert parse_profile(canonical) == profile
     assert serialize_profile(parse_profile(canonical)) == canonical
+
+
+# Right-hand sides for agent 0 of a 4-agent profile that the whole-group
+# reader must hand to the token reader, with the error each one raises
+# (None: the line is valid and parses like the plain reader).
+FALLBACK_TAILS = [
+    ("0 |\t1 2 | 3", None),
+    ("0\t| 1 2 | 3", None),
+    ("0 |  1 2 | 3", None),
+    ("0  | 1 2 | 3", None),
+    ("0 | 1 2| 3", None),
+    ("0 |1 2 | 3", None),
+    ("0 | 1 2 | 3|", "line 2: empty tie group"),
+    ("|0 | 1 2 | 3", "line 2: empty tie group"),
+    ("| 0 | 1 2 | 3", "line 2: empty tie group"),
+    ("0 | 1 2 | 3 |", "line 2: empty tie group"),
+    ("0 | | 1 2 | 3", "line 2: empty tie group"),
+    ("0 | 1 2 1 | 3", None),
+    ("0 | 2 1 2 2 | 3", None),
+    ("0 1 0 | 2 3", None),
+    ("0 | 1 2 3 1", None),
+    ("0 | 1 2 | 3 0", "agent 0 appears twice in the order of agent 0"),
+    ("0 | 1 002 | 3", None),
+    ("0 | 1 x | 3", "line 2: expected an integer, got 'x'"),
+    ("0 | 1 4 | 3", "line 2: agent 4 outside 0..3"),
+]
+
+
+@pytest.mark.parametrize("tail,error", FALLBACK_TAILS)
+def test_the_whole_group_reader_hands_odd_lines_to_the_token_reader(tail, error):
+    text = (f"agents 4\npref 0: {tail}\npref 1: 1 | 0 | 2 3\n"
+            "pref 2: 2 | 0 1 3\npref 3: 3 | 0 1 2\n")
+    table = {str(i): i for i in range(4)}
+    assert formats._flat_order(0, tail, table) is None
+    if error is None:
+        profile = parse_profile(text)
+        assert {i: profile.order(i).groups for i in profile.agents} == reference_groups(text)
+    else:
+        with pytest.raises(RoommatesError) as info:
+            parse_profile(text)
+        assert str(info.value) == error
+
+
+def test_a_tied_generated_profile_parses_like_its_raw_groups():
+    profile, _ = gen_narcissistic_sp(GeneratorConfig(200, True, 0.5, 5))
+    text = serialize_profile(profile)
+    parsed = parse_profile(text)
+    built = build_profile(reference_groups(text))
+    assert any(order.has_tie for order in built.orders.values())
+    assert parsed == built
+    for i in built.agents:
+        assert parsed.order(i).ranks == built.order(i).ranks
+        assert parsed.order(i).starts == built.order(i).starts

@@ -19,6 +19,7 @@ from roommates import (
     fixture,
     most_acceptable_set,
     restrict,
+    serialize_profile,
 )
 
 from roommates import model
@@ -96,6 +97,69 @@ def test_derived_profiles_are_checked_when_built(monkeypatch):
 def test_profile_rejects_lookup_of_unknown_agent():
     with pytest.raises(ValueError):
         fixture("example1").order(99)
+
+
+# ---------------------------------------------------------------------------
+# Tie runs in preference orders
+# ---------------------------------------------------------------------------
+
+def _random_groups(rng: random.Random, n: int, shape: str) -> list[list[int]]:
+    """Agents 0..n-1 shuffled and cut into tie groups of the named shape."""
+    if shape == "one group":
+        sizes = [n]
+    elif shape == "singletons":
+        sizes = [1] * n
+    elif shape == "tied ends" and n >= 4:
+        sizes = [2] + [1] * (n - 4) + [2]
+    elif shape == "adjacent ties" and n >= 6:
+        sizes = [1] + [2, 3] + [1] * (n - 6)
+    else:
+        sizes = []
+        while sum(sizes) < n:
+            sizes.append(rng.randint(1, min(4, n - sum(sizes))))
+    pool = list(range(n))
+    rng.shuffle(pool)
+    return [pool[sum(sizes[:g]):sum(sizes[:g + 1])] for g in range(len(sizes))]
+
+
+SHAPES = ["one group", "singletons", "tied ends", "adjacent ties", "random"]
+
+
+def test_tie_runs_give_the_ranks_offsets_and_text_of_the_groups():
+    rng = random.Random(12)
+    for n in range(1, 13):
+        for _ in range(6):
+            raw, lines = {}, [f"agents {n}"]
+            for i in range(n):
+                groups = raw[i] = _random_groups(rng, n, rng.choice(SHAPES))
+                lines.append(f"pref {i}: "
+                             + " | ".join(" ".join(map(str, sorted(g))) for g in groups))
+                members = tuple(m for g in groups for m in sorted(g))
+                offsets = [sum(map(len, groups[:g])) for g in range(len(groups))]
+                order = PreferenceOrder.from_groups(i, groups)
+                direct = PreferenceOrder(i, members, offsets)
+                assert direct == order
+                for built in (order, direct):
+                    assert built.ranks == {m: g for g, grp in enumerate(groups) for m in grp}
+                    assert tuple(built.starts) == tuple(offsets)
+                    assert list(built.group_slices()) == [tuple(sorted(g)) for g in groups]
+                    assert model._tie_groups(built.starts, n) == [
+                        g for g, grp in enumerate(groups) if len(grp) > 1]
+            assert serialize_profile(build_profile(raw)) == "\n".join(lines) + "\n"
+
+
+def test_tied_orders_share_their_offsets_and_ranks():
+    # Python caches only ints up to 256, so take orders longer than that.
+    rng = random.Random(13)
+    n = 700
+    shared = model._ints(n)
+    for shape in SHAPES[:-1] + ["random"] * 4:
+        groups = _random_groups(rng, n, shape)
+        order = PreferenceOrder.from_groups(0, groups)
+        assert order.ranks == {m: g for g, grp in enumerate(groups) for m in grp}
+        if order.has_tie:
+            assert all(s is shared[s] for s in order.starts)
+            assert all(r is shared[r] for r in order.ranks.values())
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,31 @@ def test_single_peaked_matches_the_definition_on_random_profiles():
     assert failures >= 20  # 29 at this seed
 
 
+def test_single_peaked_reads_complete_orders_like_the_definition():
+    # Orders that rank every agent are read along the axis; orders that
+    # omit their owner take the sorted path.
+    rng = random.Random(4)
+    verdicts = []
+    for n in range(2, 10):
+        for narcissistic in (True, False):
+            for p_tie in (0.0, 0.3, 0.6):
+                for omit_owner in (False, True):
+                    profile = random_complete_profile(rng, n, narcissistic, p_tie)
+                    if omit_owner:
+                        profile = build_profile({
+                            i: [[a for a in g if a != i] for g in order.group_slices()]
+                            for i, order in profile.orders.items()
+                        })
+                    order = list(profile.agents)
+                    rng.shuffle(order)
+                    verdict = is_single_peaked_wrt(profile, order)
+                    assert verdict.ok == single_peaked_by_definition(profile, order)
+                    assert verdict.witness == first_valley_witness(profile, order)
+                    verdicts.append((omit_owner, verdict.ok))
+    for omit_owner in (False, True):
+        assert (omit_owner, True) in verdicts and (omit_owner, False) in verdicts
+
+
 # ---------------------------------------------------------------------------
 # Tie-sensitive crossing w.r.t. an order
 # ---------------------------------------------------------------------------
