@@ -7,8 +7,9 @@ empty (no stable matching, a blocked matching), 2 on any error, reported
 as a single ``error: <Type>: <message>`` line.  An unexpected exception reads
 ``error: InternalError: <Type>: <message>``.
 
-The enumeration budget comes from --budget when given, else from the
-SR_SEARCH_BUDGET environment variable, else a built-in default.
+A search's node budget comes from --budget when given, else from the
+SR_SEARCH_BUDGET environment variable, else a built-in default.  ``check``
+has no flag; its exact single-crossing search reads the variable.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from itertools import combinations
+from itertools import chain, combinations
 from pathlib import Path
 
 from . import formats
@@ -79,7 +80,7 @@ def _emit(args: argparse.Namespace, text: str) -> None:
 def _cmd_check(args: argparse.Namespace) -> int:
     profile = formats.parse_profile(_read(args.profile))
     order = formats.parse_order(_read(args.order)) if args.order else None
-    report = property_report(profile, order)
+    report = property_report(profile, order, budget=_budget(args))
     print(f"agents: {profile.n_agents}")
     print(f"complete: {_yes_no(report.complete)}")
     print(f"ties: {_yes_no(report.has_ties)}")
@@ -140,8 +141,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     profile = formats.parse_profile(_read(args.profile))
     matchings = enumerate_stable_matchings(profile, budget=_budget(args))
-    for m in matchings:
-        print("matching: " + " ".join(f"{x},{y}" for x, y in m.pairs))
+    # Leaves repeat the same few pairs, so each distinct pair is formatted once.
+    label = {pair: f"{pair[0]},{pair[1]}" for pair in set(chain.from_iterable(matchings))}
+    sys.stdout.write("".join([
+        f"matching: {' '.join(map(label.__getitem__, m.pairs))}\n" for m in matchings
+    ]))
     print(f"{len(matchings)} stable matching(s)", file=sys.stderr)
     return 0 if matchings else 1
 

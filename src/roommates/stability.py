@@ -23,7 +23,14 @@ single.  Sizes are not recounted per node: each decision lowers them as
 options die, through the same trail that undoes the thresholds, and only
 the chosen agent's options are listed.  Neighbors are stored in each
 agent's rank order, so a lowered threshold walks only the options it cuts
-off.
+off, and a decided agent's threshold drops below every rank, so an option
+is live exactly when each side is within the other's threshold.
+
+Sizes are kept in a bytearray, with 255 for a decided agent, so picking
+the agent is a few C-level byte searches (for 0, for 1 before the first
+0, then for 2, 3, ... until one hits) rather than a scan over Python ints.
+A profile in which some agent has 254 or more neighbors does not fit a
+byte; it keeps its sizes in a list and the pick takes their minimum.
 """
 
 from __future__ import annotations
@@ -160,18 +167,17 @@ class _StableSearch:
         index = {a: i for i, a in enumerate(self.agents)}
         ranks_of = {a: order.ranks for a, order in profile.orders.items()}
         self.ranks = [ranks_of[a] for a in self.agents]
-        # links[i]: (q, i's rank of q, q's rank of i) for each neighbor q,
-        # in i's rank order (ties by id).  below[i][r]: the position in
-        # links[i] of the first neighbor i ranks in group r or worse, for r
-        # up to one past the last group, so every rank window is a slice.
-        self.links: list[list[tuple[int, int, int]]] = []
+        # links[i]: (q, q's rank of i) for each neighbor q, in i's rank
+        # order (ties by id).  below[i][r]: the position in links[i] of the
+        # first neighbor i ranks in group r or worse, for r up to one past
+        # the last group, so every rank window is a slice.
+        self.links: list[list[tuple[int, int]]] = []
         self.below: list[list[int]] = []
         for a in self.agents:
             order = profile.orders[a]
             others = [b for b in order.members if b != a]
             self.links.append(list(zip(
                 map(index.__getitem__, others),
-                map(order.ranks.__getitem__, others),
                 map(itemgetter(a), map(ranks_of.__getitem__, others)),
             )))
             starts = [*order.starts, len(order.members)]
@@ -182,7 +188,7 @@ class _StableSearch:
         # span[i]: the id range [lo, hi) within two links of agent i, which
         # bounds the sizes a decision on i can change.  Acceptability is
         # symmetric, so the one-link ranges of i's neighbors cover i too.
-        ids = [[q for q, _, _ in links] for links in self.links]
+        ids = [[q for q, _ in links] for links in self.links]
         near_lo = [min([i, *nbrs]) for i, nbrs in enumerate(ids)]
         near_hi = [max([i, *nbrs]) for i, nbrs in enumerate(ids)]
         self.span = [
@@ -195,14 +201,21 @@ class _StableSearch:
         # pair[i][q] for q > i: the one (agent i, agent q) tuple that every
         # leaf holding that pair shares, made by the first such leaf.
         self.pair: list[dict[int, tuple[AgentId, AgentId]]] = [{} for _ in range(m)]
+        # maxrank[i]: the worst group i may still be matched in, or -1 once
+        # i is decided, so that no one is live in a decided agent's eyes.
+        # A decided agent may not stay single either.
         self.maxrank = [len(profile.orders[a].starts) for a in self.agents]
         self.can_unmatch = [True] * m
-        self.decided = [False] * m
         self.partner = [-1] * m
         # Branching size of each undecided agent: its live options plus 1
         # while it may stay single.  A decided agent's size is ``closed``.
-        self.size = [len(links) + 1 for links in self.links]
-        self.closed = m + 1
+        # Sizes below 255 fit a byte, with 255 for a decided agent, so the
+        # pick is a few byte searches; a profile where some agent has 254
+        # or more neighbors keeps a list, and the pick scans it.
+        size = [len(links) + 1 for links in self.links]
+        self.wide = max(size, default=0) >= 255
+        self.size = size if self.wide else bytearray(size)
+        self.closed = m + 1 if self.wide else 255
         self.found: list[Matching] = []
 
     def run(self, budget: int, first_only: bool = False) -> list[Matching]:
@@ -211,50 +224,49 @@ class _StableSearch:
 
     # -- propagation ------------------------------------------------------
 
-    def _decide(self, x: int, q: int) -> list[tuple[list, object, object]]:
+    def _decide(self, x: int, q: int) -> list[tuple[object, object, object]]:
         """Give ``x`` partner ``q`` (-1: none); return the trail that undoes it.
 
-        Trail entries are (list, index or slice, old value).  Every
+        Trail entries are (array, index or slice, old value).  Every
         undecided neighbor that a newly decided agent ranks above its
         partner (above staying single: every neighbor) must end up matched
         at least as well as it ranks that agent.  Sizes follow every option
         that dies; one decision can kill many, so the trail keeps a copy of
-        the part of the size list it can reach rather than an entry per
+        the part of the size array it can reach rather than an entry per
         change.
         """
         members = (x, q) if q >= 0 else (x,)
         links = self.links
-        maxrank, decided, size, can_unmatch = (
-            self.maxrank, self.decided, self.size, self.can_unmatch
-        )
+        maxrank, size, can_unmatch = self.maxrank, self.size, self.can_unmatch
+        below = self.below
         lo, hi = self.span[x]
         if q >= 0:
             q_lo, q_hi = self.span[q]
             lo, hi = (lo if lo < q_lo else q_lo), (hi if hi > q_hi else q_hi)
-        trail: list[tuple[list, object, object]] = [(size, slice(lo, hi), size[lo:hi])]
+        trail: list[tuple[object, object, object]] = [(size, slice(lo, hi), size[lo:hi])]
+        reach = []  # per member, the neighbors within its threshold
         for a in members:
-            trail.append((decided, a, False))
-            decided[a] = True
+            old = maxrank[a]
+            reach.append(links[a][:below[a][old + 1]])
+            trail.append((maxrank, a, old))
+            maxrank[a] = -1
+            if can_unmatch[a]:
+                trail.append((can_unmatch, a, True))
+                can_unmatch[a] = False
             size[a] = self.closed
         self.partner[x] = q
         if q >= 0:
             self.partner[q] = x
         # The decided agents leave every option list they were live in.
-        for a in members:
-            max_a = maxrank[a]
-            for z, fwd, back in links[a]:
-                if fwd > max_a:
-                    break
-                if back <= maxrank[z] and not decided[z]:
+        for live in reach:
+            for z, back in live:
+                if back <= maxrank[z]:
                     size[z] -= 1
         for a in members:
             p = self.partner[a]
-            limit = self.ranks[a][self.agents[p]] if p >= 0 else inf
-            for z, fwd, new in links[a]:
-                if fwd >= limit:
-                    break
-                if decided[z]:
-                    continue
+            # The neighbors a ranks above its partner; all when single.
+            ahead = links[a][:below[a][self.ranks[a][self.agents[p]]]] if p >= 0 else links[a]
+            for z, new in ahead:
                 old = maxrank[z]
                 if old > new:
                     trail.append((maxrank, z, old))
@@ -262,11 +274,13 @@ class _StableSearch:
                     # Options of z ranked in groups new+1..old die on both
                     # sides; liveness is read from the current state, so a
                     # pair killed earlier is not counted again.
-                    below = self.below[z]
-                    for y, _, y_rank in links[z][below[new + 1]:below[old + 1]]:
-                        if y_rank <= maxrank[y] and not decided[y]:
-                            size[z] -= 1
+                    below_z = below[z]
+                    killed = 0
+                    for y, y_rank in links[z][below_z[new + 1]:below_z[old + 1]]:
+                        if y_rank <= maxrank[y]:
+                            killed += 1
                             size[y] -= 1
+                    size[z] -= killed
                 if can_unmatch[z]:
                     trail.append((can_unmatch, z, True))
                     can_unmatch[z] = False
@@ -277,11 +291,9 @@ class _StableSearch:
 
     def _choices(self, x: int) -> list[int]:
         """The live options of ``x``, in id order."""
-        maxrank, decided = self.maxrank, self.decided
+        maxrank = self.maxrank
         end = self.below[x][maxrank[x] + 1]
-        options = [
-            q for q, _, back in self.links[x][:end] if back <= maxrank[q] and not decided[q]
-        ]
+        options = [q for q, back in self.links[x][:end] if back <= maxrank[q]]
         options.sort()
         return options
 
@@ -289,17 +301,30 @@ class _StableSearch:
         """The undecided agent to branch on, with its options.
 
         It is the first agent in id order of size at most 1, else the first
-        of the smallest size.
+        of the smallest size.  Byte sizes are searched value by value from
+        0 up, each search a C-level scan that stops at the first hit; a list
+        of sizes is scanned for its minimum.
         """
         size = self.size
-        fewest = min(size)
-        x = size.index(fewest)
-        if fewest == 0:
-            # An earlier agent of size 1 still comes first.
-            try:
-                x = size.index(1, 0, x)
-            except ValueError:
-                pass
+        if self.wide:
+            fewest = min(size)
+            x = size.index(fewest)
+            if fewest == 0:
+                # An earlier agent of size 1 still comes first.
+                try:
+                    x = size.index(1, 0, x)
+                except ValueError:
+                    pass
+        else:
+            x = size.find(0)
+            if x >= 0:
+                one = size.find(1, 0, x)
+                if one >= 0:
+                    x = one
+            fewest = 0
+            while x < 0:
+                fewest += 1
+                x = size.find(fewest)
         return x, self._choices(x)
 
     def _frame(self, first_only: bool, undecided: int):

@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 from itertools import combinations, groupby, pairwise, permutations
 from operator import gt, lt
 
-from .errors import TieGroupTooLarge, TiesUnsupported, TooManyAgents
+from .errors import BudgetExceeded, TieGroupTooLarge, TiesUnsupported, TooManyAgents
 from .model import AgentId, PreferenceOrder, Profile
-from .stability import _depth_first
+from .stability import DEFAULT_SEARCH_BUDGET, _depth_first
 
 OrderLike = "WitnessOrder | Sequence[AgentId]"
 
@@ -428,6 +428,7 @@ def is_sc_wrt(
     *,
     max_tie_group: int = 6,
     tssc: Verdict | None = None,
+    budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> bool:
     """Is some per-agent linear extension single-crossing w.r.t. ``order``?
 
@@ -435,7 +436,7 @@ def is_sc_wrt(
     and test the resulting strict profile.  If that fails, searches the tie
     resolutions exactly, voter by voter along the axis.  The exact search
     refuses tie groups larger than ``max_tie_group`` (TieGroupTooLarge)
-    rather than guessing.
+    rather than guessing, and raises BudgetExceeded past ``budget`` nodes.
 
     ``tssc``, when given, must be :func:`is_tssc_wrt` of this same profile
     and axis; it is trusted, not re-checked.  A yes settles the question,
@@ -459,17 +460,18 @@ def is_sc_wrt(
         for group in profile.orders[i].group_slices():
             if len(group) > max_tie_group:
                 raise TieGroupTooLarge(i, len(group), max_tie_group)
-    return _sc_exact(profile, pos)
+    return _sc_exact(profile, pos, budget)
 
 
-def _sc_exact(profile: Profile, pos: dict[AgentId, int]) -> bool:
+def _sc_exact(profile: Profile, pos: dict[AgentId, int], budget: int) -> bool:
     """Exact single-crossing decision by backtracking over tie resolutions.
 
     Voters are processed along the axis; each pair keeps its collapsed run
     string, and a tie group's permutations are only explored as far as
     those strings stay in _CROSSING_RUNS.  Exponential in the worst case —
     callers go through :func:`is_sc_wrt`, which guards group sizes and
-    handles the common cases cheaply.
+    handles the common cases cheaply — so it stops with BudgetExceeded past
+    ``budget`` nodes.
     """
     voters = [profile.orders[v] for v in sorted(profile.orders, key=pos.__getitem__)]
     runs: defaultdict[tuple[AgentId, AgentId], str] = defaultdict(str)
@@ -509,7 +511,7 @@ def _sc_exact(profile: Profile, pos: dict[AgentId, int]) -> bool:
             yield True
         _undo_runs(runs, trail)
 
-    return _depth_first(frame(0, 0))
+    return _depth_first(frame(0, 0), budget)
 
 
 # ---------------------------------------------------------------------------
@@ -668,8 +670,17 @@ def is_worst_restricted(profile: Profile) -> bool:
 # Reporting
 # ---------------------------------------------------------------------------
 
-def property_report(profile: Profile, order: OrderLike | None = None) -> PropertyReport:
-    """Bundle the definitional checks, plus per-axis verdicts when given one."""
+def property_report(
+    profile: Profile,
+    order: OrderLike | None = None,
+    *,
+    budget: int = DEFAULT_SEARCH_BUDGET,
+) -> PropertyReport:
+    """Bundle the definitional checks, plus per-axis verdicts when given one.
+
+    An exact single-crossing search that refuses its input or passes
+    ``budget`` nodes leaves the verdict unknown, with a note saying why.
+    """
     notes: list[str] = []
     single_peaked = tssc = None
     single_crossing: bool | None = None
@@ -677,8 +688,8 @@ def property_report(profile: Profile, order: OrderLike | None = None) -> Propert
         single_peaked = is_single_peaked_wrt(profile, order)
         tssc = is_tssc_wrt(profile, order)
         try:
-            single_crossing = is_sc_wrt(profile, order, tssc=tssc)
-        except TieGroupTooLarge as exc:
+            single_crossing = is_sc_wrt(profile, order, tssc=tssc, budget=budget)
+        except (TieGroupTooLarge, BudgetExceeded) as exc:
             notes.append(str(exc))
     return PropertyReport(
         complete=is_complete(profile),

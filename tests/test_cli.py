@@ -404,6 +404,25 @@ def test_budget_env_variable_caps_the_search(workdir):
     assert result.stderr.startswith("error: BudgetExceeded:")
 
 
+def test_check_reports_a_crossing_search_over_budget_as_unknown(tmp_path):
+    # A tied SP profile whose swapped axis needs the exact tie search.
+    profile, axis = gen_narcissistic_sp(GeneratorConfig(28, True, 0.5, 2))
+    seq = list(axis.sequence)
+    seq[14], seq[15] = seq[15], seq[14]
+    (tmp_path / "tied.prof").write_text(serialize_profile(profile))
+    (tmp_path / "swap.order").write_text(serialize_order(WitnessOrder(seq)))
+    argv = ("check", "tied.prof", "--order", "swap.order")
+    capped = run(*argv, cwd=tmp_path, env={"SR_SEARCH_BUDGET": "1"})
+    answered = run(*argv, cwd=tmp_path)
+    assert capped.returncode == answered.returncode == 0
+    assert capped.stdout == answered.stdout.replace(
+        "single-crossing: no\n", "single-crossing: unknown\n"
+    )
+    assert capped.stdout != answered.stdout
+    assert capped.stderr == "note: search exceeded its budget of 1 nodes\n"
+    assert answered.stderr == ""
+
+
 def test_budget_flag_outranks_the_environment(workdir):
     result = run(
         "enumerate", "example1.prof", "--budget", "100000",

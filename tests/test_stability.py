@@ -224,7 +224,7 @@ def pick_by_scan(search):
     """Reference pick: recount every undecided agent's options in id order."""
     best = best_size = None
     for x in range(len(search.agents)):
-        if search.decided[x]:
+        if search.maxrank[x] < 0:  # decided
             continue
         size = len(search._choices(x)) + search.can_unmatch[x]
         if size == 0:
@@ -244,8 +244,11 @@ class CheckedSearch(stability._StableSearch):
     def _pick_agent(self):
         CheckedSearch.nodes += 1
         for x in range(len(self.agents)):
-            if not self.decided[x]:
+            if self.maxrank[x] >= 0:  # undecided
                 assert self.size[x] == len(self._choices(x)) + self.can_unmatch[x]
+                assert self.size[x] < self.closed
+            else:
+                assert self.size[x] == self.closed
         x, options = super()._pick_agent()
         assert x == pick_by_scan(self)
         return x, options
@@ -261,6 +264,56 @@ def test_maintained_sizes_equal_a_recount_at_every_node():
         )
         CheckedSearch(profile).run(budget=10**6)
     assert CheckedSearch.nodes > 8_000
+
+
+def hub_path_profile(rng, n, hubs):
+    """Agents below ``hubs`` accept everyone; the others form a path in id order.
+
+    Each agent ranks itself first and its neighbors in random tie groups, so
+    a hub has n - 1 neighbors and the search's sizes need not fit a byte.
+    """
+    accepted = {i: set() for i in range(n)}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if i < hubs or j == i + 1:
+                accepted[i].add(j)
+                accepted[j].add(i)
+    raw = {}
+    for i in range(n):
+        pool = sorted(accepted[i])
+        rng.shuffle(pool)
+        groups = [[i]]
+        for a in pool:
+            if len(groups) > 1 and rng.random() < 0.3:
+                groups[-1].append(a)
+            else:
+                groups.append([a])
+        raw[i] = groups
+    return build_profile(raw)
+
+
+@pytest.mark.parametrize("seed, hubs, budget", [(0, 1, 169), (1, 2, 239), (0, 3, 217)])
+def test_smallest_passing_budgets_are_frozen_when_sizes_pass_a_byte(seed, hubs, budget):
+    profile = hub_path_profile(random.Random(seed), 260, hubs)
+    assert stability._StableSearch(profile).wide
+    with pytest.raises(BudgetExceeded):
+        exists_stable_matching(profile, budget=budget - 1)
+    found, matching = exists_stable_matching(profile, budget=budget)
+    assert found and is_stable(profile, matching)
+
+
+@pytest.mark.parametrize("n, wide", [(254, False), (255, True), (260, True)])
+def test_sizes_are_checked_at_every_node_on_both_sides_of_a_byte(n, wide):
+    # A hub of n - 1 neighbors starts at size n: 254 is the largest that
+    # leaves 255 free for decided agents.
+    for seed in range(3):
+        profile = hub_path_profile(random.Random(seed), n, 2)
+        search = CheckedSearch(profile)
+        assert search.wide is wide
+        CheckedSearch.nodes = 0
+        found = search.run(budget=10**6, first_only=True)
+        assert CheckedSearch.nodes > 100
+        assert found and is_stable(profile, found[0])
 
 
 def test_enumerate_stores_at_most_24_bytes_per_pair():

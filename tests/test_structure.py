@@ -9,6 +9,7 @@ import tracemalloc
 import pytest
 
 from roommates import (
+    BudgetExceeded,
     GeneratorConfig,
     PreferenceOrder,
     TieGroupTooLarge,
@@ -769,3 +770,33 @@ def test_report_notes_an_unanswerable_crossing_question():
     report = property_report(build_profile(raw), WitnessOrder(range(8)))
     assert report.single_crossing is None
     assert report.notes
+
+
+def tied_swapped_axis(seed):
+    """A tied n=28 SP profile, its axis with positions 14 and 15 swapped."""
+    profile, axis = gen_narcissistic_sp(GeneratorConfig(28, True, 0.5, seed))
+    order = list(axis.sequence)
+    order[14], order[15] = order[15], order[14]
+    return profile, order
+
+
+def test_report_is_unknown_when_the_exact_crossing_search_passes_its_budget():
+    # The tie-broken check fails here, so the answer needs the exact search,
+    # which takes 126 nodes.
+    profile, order = tied_swapped_axis(2)
+    with pytest.raises(BudgetExceeded):
+        is_sc_wrt(profile, order, budget=125)
+    assert is_sc_wrt(profile, order, budget=126) is False
+    report = property_report(profile, order, budget=1)
+    assert report.single_crossing is None
+    assert report.notes == ("search exceeded its budget of 1 nodes",)
+    assert report.tssc == property_report(profile, order).tssc
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3, 6, 12, 19])
+def test_the_default_budget_answers_tied_swapped_axes(seed):
+    # The axis_check benchmark's tied inputs are drawn this way.
+    profile, order = tied_swapped_axis(seed)
+    report = property_report(profile, order)
+    assert report.notes == ()
+    assert report.single_crossing == sc_by_definition(profile, order, cap=4096)
