@@ -10,6 +10,16 @@ as a single ``error: <Type>: <message>`` line.  An unexpected exception reads
 A search's node budget comes from --budget when given, else from the
 SR_SEARCH_BUDGET environment variable, else a built-in default.  ``check``
 has no flag; its exact single-crossing search reads the variable.
+
+A command loads only the modules it runs: ``check`` compiles neither the
+solvers nor the reductions, and ``--help`` not even the structure checks.
+So the package functions the handlers call are not imported at the top.  The
+module ``__getattr__`` imports each on first use and binds it here, and
+the handlers look them up as attributes of this module (``_cli.name``)
+rather than as globals, whose lookup would skip ``__getattr__``.  Every
+such name is therefore an attribute of ``roommates.cli``, and a wrapper
+set on that attribute, as the benchmark's span tracer does, is the one
+the handler calls.
 """
 
 from __future__ import annotations
@@ -19,32 +29,37 @@ import os
 import sys
 from itertools import chain, combinations
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import formats
 from .errors import NoMutualPair, RoommatesError
-from .greedy import greedy_solve
-from .instances import GeneratorConfig, gen_degree3_graph, gen_narcissistic_sp
-from .model import Matching, Profile
-from .reduction import (
-    betweenness_to_sc_instance,
-    betweenness_to_sp_instance,
-    independent_set_to_sr,
-    sr_matching_to_independent_set,
-)
-from .stability import (
-    DEFAULT_SEARCH_BUDGET,
-    BlockingReason,
-    check_matching,
-    enumerate_stable_matchings,
-    exists_stable_matching,
-    find_blocking_pairs,
-)
-from .structure import Verdict, is_worst_restricted, property_report
+from .search import DEFAULT_SEARCH_BUDGET
 
-_REASON_TOKEN = {
-    BlockingReason.UNMATCHED: "unmatched",
-    BlockingReason.PREFERS_OVER_PARTNER: "prefers-over-partner",
-}
+if TYPE_CHECKING:
+    from .model import Matching
+    from .stability import BlockingReason
+    from .structure import Verdict
+
+# The package functions the handlers call through ``_cli``; the package
+# itself knows each one's home module.
+_LAZY = frozenset({
+    "GeneratorConfig", "betweenness_to_sc_instance", "betweenness_to_sp_instance",
+    "check_matching", "enumerate_stable_matchings", "exists_stable_matching",
+    "find_blocking_pairs", "gen_degree3_graph", "gen_narcissistic_sp", "greedy_solve",
+    "independent_set_to_sr", "is_worst_restricted", "property_report",
+    "sr_matching_to_independent_set",
+})
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(sys.modules[__package__], name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+_cli = sys.modules[__name__]
 
 _VERIFY_CAP = 20  # brute-force independent-set search cap for verify-reduction
 
@@ -64,6 +79,11 @@ def _yes_no(value: bool) -> str:
     return "yes" if value else "no"
 
 
+def _reason_token(reason: BlockingReason) -> str:
+    """A blocking reason as ``verify`` prints it: its value, dashed."""
+    return reason.value.replace("_", "-")
+
+
 def _emit(args: argparse.Namespace, text: str) -> None:
     """Write to --output when given, else to stdout."""
     if getattr(args, "output", None):
@@ -80,7 +100,7 @@ def _emit(args: argparse.Namespace, text: str) -> None:
 def _cmd_check(args: argparse.Namespace) -> int:
     profile = formats.parse_profile(_read(args.profile))
     order = formats.parse_order(_read(args.order)) if args.order else None
-    report = property_report(profile, order, budget=_budget(args))
+    report = _cli.property_report(profile, order, budget=_budget(args))
     print(f"agents: {profile.n_agents}")
     print(f"complete: {_yes_no(report.complete)}")
     print(f"ties: {_yes_no(report.has_ties)}")
@@ -88,7 +108,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if report.has_ties:
         print("worst-restricted: n/a (ties)")
     else:
-        print(f"worst-restricted: {_yes_no(is_worst_restricted(profile))}")
+        print(f"worst-restricted: {_yes_no(_cli.is_worst_restricted(profile))}")
     if order is not None:
         print(f"single-peaked: {_verdict_text(report.single_peaked)}")
         print(f"tssc: {_verdict_text(report.tssc)}")
@@ -117,7 +137,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     profile = formats.parse_profile(_read(args.profile))
     if args.algorithm in ("greedy", "bt"):
         try:
-            matching, trace = greedy_solve(profile)
+            matching, trace = _cli.greedy_solve(profile)
         except NoMutualPair as exc:
             print(
                 f"no mutual top pair ({len(exc.remaining)} agents left)",
@@ -129,7 +149,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                 print(f"# matched {pair[0]},{pair[1]} ({left} agents left)")
         _print_matching(matching)
         return 0
-    found, matching = exists_stable_matching(profile, budget=_budget(args))
+    found, matching = _cli.exists_stable_matching(profile, budget=_budget(args))
     if not found:
         print("NO STABLE MATCHING", file=sys.stderr)
         return 1
@@ -140,7 +160,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     profile = formats.parse_profile(_read(args.profile))
-    matchings = enumerate_stable_matchings(profile, budget=_budget(args))
+    matchings = _cli.enumerate_stable_matchings(profile, budget=_budget(args))
     # Leaves repeat the same few pairs, so each distinct pair is formatted once.
     label = {pair: f"{pair[0]},{pair[1]}" for pair in set(chain.from_iterable(matchings))}
     sys.stdout.write("".join([
@@ -153,16 +173,14 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     profile = formats.parse_profile(_read(args.profile))
     matching = formats.parse_matching(_read(args.matching))
-    check_matching(profile, matching)
-    blocking = find_blocking_pairs(profile, matching)
+    _cli.check_matching(profile, matching)
+    blocking = _cli.find_blocking_pairs(profile, matching)
     if not blocking:
         print("STABLE")
         return 0
     for bp in blocking:
         x, y = bp.pair
-        print(
-            f"blocking: {x},{y} {_REASON_TOKEN[bp.reason_x]} {_REASON_TOKEN[bp.reason_y]}"
-        )
+        print(f"blocking: {x},{y} {_reason_token(bp.reason_x)} {_reason_token(bp.reason_y)}")
     return 1
 
 
@@ -172,7 +190,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         if args.k is None:
             raise ValueError("reduce is2sr needs -k")
         graph = formats.parse_graph(_read(args.input))
-        instance = independent_set_to_sr(graph, args.k)
+        instance = _cli.independent_set_to_sr(graph, args.k)
         assert instance.sp_witness is not None
         files = {
             f"{base}.prof": formats.serialize_profile(instance.profile),
@@ -181,7 +199,8 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         }
     else:
         bt = formats.parse_betweenness(_read(args.input))
-        build = betweenness_to_sp_instance if args.kind == "btw2sp" else betweenness_to_sc_instance
+        build = (_cli.betweenness_to_sp_instance if args.kind == "btw2sp"
+                 else _cli.betweenness_to_sc_instance)
         instance = build(bt)
         files = {
             f"{base}.prof": formats.serialize_profile(instance.profile),
@@ -199,19 +218,19 @@ def _cmd_verify_reduction(args: argparse.Namespace) -> int:
         raise ValueError(
             f"brute-force verification is capped at {_VERIFY_CAP} vertices"
         )
-    instance = independent_set_to_sr(graph, args.k)
+    instance = _cli.independent_set_to_sr(graph, args.k)
     has_set = False
     for chosen in combinations(range(graph.n_vertices), args.k):
         members = set(chosen)
         if all(u not in members or v not in members for u, v in graph.edges):
             has_set = True
             break
-    found, matching = exists_stable_matching(instance.profile, budget=_budget(args))
+    found, matching = _cli.exists_stable_matching(instance.profile, budget=_budget(args))
     print(f"independent-set: {_yes_no(has_set)}")
     print(f"stable-matching: {_yes_no(found)}")
     if found and has_set:
         assert matching is not None
-        chosen = sr_matching_to_independent_set(instance, matching)
+        chosen = _cli.sr_matching_to_independent_set(instance, matching)
         print("extracted: " + " ".join(str(v) for v in chosen))
     print("PASS" if has_set == found else "FAIL")
     return 0 if has_set == found else 2
@@ -219,13 +238,13 @@ def _cmd_verify_reduction(args: argparse.Namespace) -> int:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     if args.kind == "sp-profile":
-        config = GeneratorConfig(
+        config = _cli.GeneratorConfig(
             n_agents=args.n,
             allow_ties=args.ties,
             tie_probability=args.tie_probability,
             seed=args.seed,
         )
-        profile, axis = gen_narcissistic_sp(config)
+        profile, axis = _cli.gen_narcissistic_sp(config)
         if args.output:
             Path(args.output).write_text(
                 formats.serialize_profile(profile), encoding="utf-8"
@@ -239,7 +258,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             sys.stdout.write(formats.serialize_profile(profile))
             print("# axis: " + " ".join(str(a) for a in axis))
         return 0
-    graph = gen_degree3_graph(args.n, args.edge_probability, args.seed)
+    graph = _cli.gen_degree3_graph(args.n, args.edge_probability, args.seed)
     _emit(args, formats.serialize_graph(graph))
     return 0
 

@@ -14,11 +14,14 @@ ascending — so equal objects always produce byte-identical files.
 
 from __future__ import annotations
 
-from .coloring import Graph
+from typing import TYPE_CHECKING
+
 from .errors import ParseError
-from .model import AgentId, Matching, PreferenceOrder, Profile, _tie_groups
-from .reduction import BetweennessInstance
-from .structure import WitnessOrder
+from .model import AgentId, Matching, PreferenceOrder, Profile, WitnessOrder, _tie_groups
+
+if TYPE_CHECKING:
+    from .coloring import Graph
+    from .reduction import BetweennessInstance
 
 
 def _lines(text: str):
@@ -174,6 +177,8 @@ def serialize_profile(profile: Profile) -> str:
 
 def parse_graph(text: str) -> Graph:
     """Read a graph: a ``vertices N`` header, then ``edge u v`` lines."""
+    from .coloring import Graph
+
     lines = list(_lines(text))
     if not lines:
         raise ParseError("empty graph file")
@@ -210,6 +215,8 @@ def serialize_graph(graph: Graph) -> str:
 
 def parse_betweenness(text: str) -> BetweennessInstance:
     """Read a ``universe N`` header, then ``triple x y z`` lines (y between)."""
+    from .reduction import BetweennessInstance
+
     lines = list(_lines(text))
     if not lines:
         raise ParseError("empty betweenness file")

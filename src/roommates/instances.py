@@ -12,11 +12,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .coloring import Graph
 from .errors import InternalInvariantViolation, UnknownFixture
-from .model import AgentId, PreferenceOrder, Profile, build_profile
-from .structure import WitnessOrder, is_single_peaked_wrt
+from .model import AgentId, PreferenceOrder, Profile, WitnessOrder, build_profile
+from .structure import is_single_peaked_wrt
+
+if TYPE_CHECKING:
+    from .coloring import Graph
 
 _FIXTURES: dict[str, dict[AgentId, list[list[AgentId]]]] = {
     # Two stable matchings; agent 2 is indifferent between 1 and 3.
@@ -175,6 +178,8 @@ def gen_degree3_graph(n: int, edge_probability: float, seed: int = 0) -> Graph:
     Candidate edges are visited in lexicographic order; each is kept with
     the given probability unless an endpoint already has three edges.
     """
+    from .coloring import Graph
+
     if n < 0:
         raise ValueError("vertex count must be non-negative")
     if not 0.0 <= edge_probability <= 1.0:

@@ -1,4 +1,5 @@
-"""Core data model: agents, weak-order preferences, profiles, matchings.
+"""Core data model: agents, weak-order preferences, profiles, matchings,
+and witness orders (a linear order of the agents, such as an axis).
 
 Agents are plain non-negative ints.  A preference order ranks the agents
 its owner finds acceptable in tie groups, best group first; an agent may
@@ -255,6 +256,28 @@ class Matching:
 
     def __iter__(self):
         return iter(self.pairs)
+
+
+@dataclass(frozen=True)
+class WitnessOrder:
+    """A linear order over all agents of a profile, e.g. a single-peaked axis."""
+
+    sequence: tuple[AgentId, ...]
+
+    def __init__(self, sequence: Sequence[AgentId]):
+        seq = tuple(int(a) for a in sequence)
+        if len(set(seq)) != len(seq):
+            raise ValueError("a witness order must not repeat agents")
+        object.__setattr__(self, "sequence", seq)
+
+    def reversed(self) -> "WitnessOrder":
+        return WitnessOrder(self.sequence[::-1])
+
+    def __iter__(self):
+        return iter(self.sequence)
+
+    def __len__(self) -> int:
+        return len(self.sequence)
 
 
 # ---------------------------------------------------------------------------

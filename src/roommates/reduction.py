@@ -26,9 +26,8 @@ from .errors import (
     NotIndependent,
     WrongSize,
 )
-from .model import AgentId, Matching, Profile, build_profile
+from .model import AgentId, Matching, Profile, WitnessOrder, build_profile
 from .stability import find_blocking_pairs
-from .structure import WitnessOrder
 
 RawGroups = list[list[AgentId]]
 

@@ -35,41 +35,13 @@ byte; it keeps its sizes in a list and the pick takes their minimum.
 
 from __future__ import annotations
 
-from collections.abc import Collection, Iterator
+from collections.abc import Collection
 from dataclasses import dataclass
 from enum import Enum
-from math import inf
 from operator import itemgetter
 
-from .errors import BudgetExceeded
 from .model import AgentId, Matching, Profile
-
-DEFAULT_SEARCH_BUDGET = 10_000_000
-
-
-def _depth_first(root: Iterator, budget: float = inf) -> bool:
-    """Run a backtracking search on an explicit stack; True if a frame said so.
-
-    Frames are generators.  A frame yields a child frame to descend into it
-    and True to end the whole search; the code after a ``yield`` undoes that
-    branch once the child is exhausted.  Children count as search nodes, and
-    passing ``budget`` of them raises BudgetExceeded.
-    """
-    stack = [root]
-    nodes = 0
-    while stack:
-        # One step of the top frame: it descends, stops, or is exhausted.
-        for child in stack[-1]:
-            if child is True:
-                return True
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceeded(budget)
-            stack.append(child)
-            break
-        else:
-            stack.pop()
-    return False
+from .search import DEFAULT_SEARCH_BUDGET, depth_first
 
 
 class BlockingReason(Enum):
@@ -219,7 +191,7 @@ class _StableSearch:
         self.found: list[Matching] = []
 
     def run(self, budget: int, first_only: bool = False) -> list[Matching]:
-        _depth_first(self._frame(first_only, len(self.agents)), budget)
+        depth_first(self._frame(first_only, len(self.agents)), budget)
         return sorted(self.found, key=lambda m: m.pairs)
 
     # -- propagation ------------------------------------------------------
@@ -328,7 +300,7 @@ class _StableSearch:
         return x, self._choices(x)
 
     def _frame(self, first_only: bool, undecided: int):
-        """A search frame for :func:`_depth_first`: one decision per child."""
+        """A search frame for :func:`depth_first`: one decision per child."""
         if not undecided:
             pair, agents = self.pair, self.agents
             self.found.append(Matching([

@@ -24,35 +24,12 @@ from collections import defaultdict
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import combinations, groupby, pairwise, permutations
-from operator import gt, lt
 
 from .errors import BudgetExceeded, TieGroupTooLarge, TiesUnsupported, TooManyAgents
-from .model import AgentId, PreferenceOrder, Profile
-from .stability import DEFAULT_SEARCH_BUDGET, _depth_first
+from .model import AgentId, PreferenceOrder, Profile, WitnessOrder
+from .search import DEFAULT_SEARCH_BUDGET, depth_first
 
 OrderLike = "WitnessOrder | Sequence[AgentId]"
-
-
-@dataclass(frozen=True)
-class WitnessOrder:
-    """A linear order over all agents of a profile, e.g. a single-peaked axis."""
-
-    sequence: tuple[AgentId, ...]
-
-    def __init__(self, sequence: Sequence[AgentId]):
-        seq = tuple(int(a) for a in sequence)
-        if len(set(seq)) != len(seq):
-            raise ValueError("a witness order must not repeat agents")
-        object.__setattr__(self, "sequence", seq)
-
-    def reversed(self) -> "WitnessOrder":
-        return WitnessOrder(self.sequence[::-1])
-
-    def __iter__(self):
-        return iter(self.sequence)
-
-    def __len__(self) -> int:
-        return len(self.sequence)
 
 
 @dataclass(frozen=True)
@@ -135,20 +112,23 @@ def is_single_peaked_wrt(profile: Profile, order: OrderLike) -> Verdict:
 
     An order passes exactly when its ranks along the axis never rise and
     then fall, since the largest rank between a rise and a later fall is
-    a valley.  A few linear passes per agent check that.  An order that
-    ranks every agent is read along the axis itself; any other order is
-    first sorted by axis position.
+    a valley.  That holds exactly when the ranks never rise up to the
+    first best rank and never fall after it, so one ``min`` and two sorted
+    comparisons per agent check it, each a run that sorts in linear time.
+    An order that ranks every agent is read along the axis itself; any
+    other order is first sorted by axis position.
     """
     pos = _order_positions(profile, order)
     for i in sorted(profile.orders):
         ranks = profile.orders[i].ranks
         along = pos if len(ranks) == len(pos) else sorted(ranks, key=pos.__getitem__)
         seq = list(map(ranks.__getitem__, along))
-        rises = list(map(lt, seq, seq[1:]))
-        if True in rises:
-            k = rises.index(True)
-            if True in map(gt, seq[k:], seq[k + 1 :]):
-                return Verdict(False, _first_valley_witness(profile.orders[i], pos))
+        if not seq:
+            continue
+        peak = seq.index(min(seq))
+        before, after = seq[peak::-1], seq[peak:]
+        if before != sorted(before) or after != sorted(after):
+            return Verdict(False, _first_valley_witness(profile.orders[i], pos))
     return Verdict(True)
 
 
@@ -511,7 +491,7 @@ def _sc_exact(profile: Profile, pos: dict[AgentId, int], budget: int) -> bool:
             yield True
         _undo_runs(runs, trail)
 
-    return _depth_first(frame(0, 0), budget)
+    return depth_first(frame(0, 0), budget)
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +557,7 @@ def find_single_peaked_order(
                     break
         dead.add(placed)
 
-    if _depth_first(frame(0)):
+    if depth_first(frame(0)):
         return WitnessOrder(prefix_order)
     return None
 
@@ -634,7 +614,7 @@ def find_tssc_order(
                 # v is in no constraint: placing it now is safe and smallest.
                 return
 
-    if _depth_first(frame()):
+    if depth_first(frame()):
         return WitnessOrder(placed)
     return None
 

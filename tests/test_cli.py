@@ -461,6 +461,90 @@ def test_brute_solve_on_a_long_path_never_exits_one(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# Start-up: the modules each command loads
+# ---------------------------------------------------------------------------
+
+# Runs ``cli.main`` on the arguments, then prints its exit code and the
+# package modules loaded, as the last line of stderr.
+LOADED_AFTER_MAIN = """\
+import sys
+from roommates import cli
+try:
+    code = cli.main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+loaded = sorted(m.split(".")[1] for m in sys.modules if m.startswith("roommates."))
+print(code, *loaded, file=sys.stderr)
+"""
+
+SOLVERS_AND_REDUCTIONS = {"stability", "greedy", "instances", "reduction", "coloring"}
+
+
+def run_code(code: str, *argv: str, cwd: Path):
+    """``python -c code argv...`` in a fresh interpreter on the in-tree package."""
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True,
+        text=True,
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=120,
+    )
+
+
+def loaded_after_main(*argv: str, cwd: Path) -> tuple[int, set[str]]:
+    result = run_code(LOADED_AFTER_MAIN, *argv, cwd=cwd)
+    code, *loaded = result.stderr.splitlines()[-1].split()
+    return int(code), set(loaded)
+
+
+def test_help_loads_no_check_solver_or_reduction(workdir):
+    code, loaded = loaded_after_main("--help", cwd=workdir)
+    assert code == 0
+    assert loaded & (SOLVERS_AND_REDUCTIONS | {"structure"}) == set()
+
+
+def test_check_loads_no_solver_or_reduction(workdir):
+    code, loaded = loaded_after_main(
+        "check", "fig2b.prof", "--order", "axis.order", cwd=workdir
+    )
+    assert code == 0
+    assert "structure" in loaded
+    assert loaded & SOLVERS_AND_REDUCTIONS == set()
+
+
+def test_solve_and_verify_load_no_check_generator_or_reduction(workdir):
+    (workdir / "example1.match").write_text("pair 0 1\npair 2 3\n")
+    for argv in (("solve", "example1.prof"), ("verify", "example1.prof", "example1.match")):
+        code, loaded = loaded_after_main(*argv, cwd=workdir)
+        assert code == 0, argv
+        assert "stability" in loaded
+        assert loaded & {"structure", "reduction", "coloring", "instances"} == set(), argv
+
+
+def test_a_wrapper_set_before_first_use_is_the_one_called(workdir):
+    # The handlers look names up on the module, so a replacement bound
+    # before the lazy import ever ran still wins.
+    code = (
+        "import sys\n"
+        "from roommates import cli\n"
+        "calls = []\n"
+        "cli.greedy_solve = lambda profile: calls.append(profile) or ('stub', 'stub')\n"
+        "cli.main(['solve', 'example1.prof'])\n"
+        "print(len(calls), 'roommates.greedy' in sys.modules)\n"
+    )
+    result = run_code(code, cwd=workdir)
+    # The stub's matching is not one, so the command fails after the call.
+    assert result.stderr.startswith("error: InternalError: AttributeError:")
+    assert result.stdout == "1 False\n"
+
+
+def test_unknown_cli_attributes_raise_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cli.no_such_name  # noqa: B018
+
+
+# ---------------------------------------------------------------------------
 # Benchmark replay contract
 # ---------------------------------------------------------------------------
 
