@@ -9,7 +9,8 @@ as a single ``error: <Type>: <message>`` line.  An unexpected exception reads
 
 A search's node budget comes from --budget when given, else from the
 SR_SEARCH_BUDGET environment variable, else a built-in default.  ``check``
-has no flag; its exact single-crossing search reads the variable.
+has no flag; its exact single-crossing search reads the variable.  A
+negative or non-integer budget from either source is an error.
 
 A command loads only the modules it runs: ``check`` compiles neither the
 solvers nor the reductions, and ``--help`` not even the structure checks.
@@ -69,10 +70,20 @@ def _read(path: str) -> str:
 
 
 def _budget(args: argparse.Namespace) -> int:
+    """--budget, else SR_SEARCH_BUDGET, else the default; never negative."""
     if getattr(args, "budget", None) is not None:
-        return args.budget
-    env = os.environ.get("SR_SEARCH_BUDGET")
-    return int(env) if env else DEFAULT_SEARCH_BUDGET
+        source, raw = "--budget", args.budget
+    else:
+        source, raw = "SR_SEARCH_BUDGET", os.environ.get("SR_SEARCH_BUDGET")
+        if not raw:
+            return DEFAULT_SEARCH_BUDGET
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = -1
+    if budget < 0:
+        raise ValueError(f"{source} must be a non-negative integer, got {raw!r}")
+    return budget
 
 
 def _yes_no(value: bool) -> str:

@@ -9,10 +9,10 @@ the fan/path machinery takes the smallest valid option.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DegreeTooHigh, InternalInvariantViolation
+from .model import _Record
 
 Edge = tuple[int, int]
 
@@ -20,13 +20,14 @@ PALETTE_SIZE = 4
 MAX_DEGREE = 3
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(_Record):
     """An undirected simple graph on vertices 0..n-1.
 
     Edges are stored canonically: as (min, max) pairs, deduplicated and
     sorted.  Self-loops are rejected.
     """
+
+    _fields = ("n_vertices", "edges")
 
     n_vertices: int
     edges: tuple[Edge, ...]
@@ -68,9 +69,10 @@ def check_degree_cap(graph: Graph, cap: int = MAX_DEGREE) -> None:
             raise DegreeTooHigh(v, graph.degree(v), cap)
 
 
-@dataclass(frozen=True)
-class EdgeColoring:
+class EdgeColoring(_Record):
     """A partition of a graph's edges into color classes, each a matching."""
+
+    _fields = ("classes",)
 
     classes: tuple[tuple[Edge, ...], ...]
 

@@ -12,23 +12,22 @@ stuck there; on unstructured input it may raise NoMutualPair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InternalInvariantViolation, NoMutualPair, NotComplete, NotNarcissistic
-from .model import AgentId, Matching, Profile, most_acceptable_set
+from .model import AgentId, Matching, Profile, _Record, most_acceptable_set
 from .stability import find_blocking_pairs
 
 Pair = tuple[AgentId, AgentId]
 
 
-@dataclass(frozen=True)
-class SolveTrace:
+class SolveTrace(_Record):
     """Round-by-round record of a greedy run.
 
     Each entry is ``(pair, remaining)`` — the pair matched in that round
     and how many agents were left afterwards.  The counts decrease by two
     down to zero on a successful run.
     """
+
+    _fields = ("rounds",)
 
     rounds: tuple[tuple[Pair, int], ...]
 

@@ -11,11 +11,10 @@ output before returning it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import InternalInvariantViolation, UnknownFixture
-from .model import AgentId, PreferenceOrder, Profile, WitnessOrder, build_profile
+from .model import AgentId, PreferenceOrder, Profile, WitnessOrder, _Record, build_profile
 from .structure import is_single_peaked_wrt
 
 if TYPE_CHECKING:
@@ -94,20 +93,25 @@ def fixture(name: str) -> Profile:
 # Random generation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GeneratorConfig:
+class GeneratorConfig(_Record):
     """Parameters for :func:`gen_narcissistic_sp`."""
 
-    n_agents: int
-    allow_ties: bool = False
-    tie_probability: float = 0.0
-    seed: int = 0
+    _fields = ("n_agents", "allow_ties", "tie_probability", "seed")
 
-    def __post_init__(self):
-        if self.n_agents < 2 or self.n_agents % 2:
+    n_agents: int
+    allow_ties: bool
+    tie_probability: float
+    seed: int
+
+    def __init__(
+        self, n_agents: int, allow_ties: bool = False, tie_probability: float = 0.0,
+        seed: int = 0,
+    ):
+        if n_agents < 2 or n_agents % 2:
             raise ValueError("n_agents must be even and positive")
-        if not 0.0 <= self.tie_probability <= 1.0:
+        if not 0.0 <= tie_probability <= 1.0:
             raise ValueError("tie_probability must lie in [0, 1]")
+        super().__init__(n_agents, allow_ties, tie_probability, seed)
 
 
 def gen_narcissistic_sp(config: GeneratorConfig) -> tuple[Profile, WitnessOrder]:

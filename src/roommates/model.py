@@ -14,13 +14,17 @@ rank nobody and the number of agents may be odd.
 Top-level profiles use dense ids ``0..n-1``.  Profiles produced by
 :func:`restrict` keep the surviving agents' original ids, so sub-profiles
 stay comparable with the instance they came from.
+
+The package's value types derive from :class:`_Record`, one small base
+that builds equality, hash, repr, immutability and pickling from a tuple
+of field names.  It generates no code at import, so defining a value
+type costs nothing at start-up and no command loads ``inspect``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, pairwise
 
@@ -65,8 +69,62 @@ def _tie_groups(starts: Sequence[int], size: int) -> list[int]:
     return ties
 
 
-@dataclass(frozen=True, slots=True)
-class PreferenceOrder:
+class _Record:
+    """An immutable value whose fields are named by ``_fields``.
+
+    Records of the same class are equal when their fields are; the hash
+    and the repr are built from the same fields, and no attribute can be
+    assigned or deleted.  Pickling and copying call the constructor with
+    the fields in order.  The default ``__init__`` takes the fields by
+    position or keyword, and a class attribute named after a field is its
+    default; a class with ``__slots__`` writes its own.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        cls = type(self)
+        names = cls._fields
+        if len(args) > len(names):
+            raise TypeError(f"{cls.__name__}() takes {len(names)} fields, got {len(args)}")
+        values = dict(zip(names, args))
+        for name, value in kwargs.items():
+            if name not in names or name in values:
+                raise TypeError(f"{cls.__name__}() got an unexpected or repeated field {name!r}")
+            values[name] = value
+        for name in names:
+            if name in values:
+                object.__setattr__(self, name, values[name])
+            elif name not in cls.__dict__:
+                raise TypeError(f"{cls.__name__}() is missing field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+class PreferenceOrder(_Record):
     """One agent's ranked tie groups, stored flat, most preferred group first.
 
     ``members`` lists the ranked agents group by group, ascending inside a
@@ -81,29 +139,32 @@ class PreferenceOrder:
     groups compares unequal to the same order built by :meth:`from_groups`.
     """
 
+    __slots__ = ("owner", "members", "starts", "ranks")
+    _fields = ("owner", "members", "starts")
+
     owner: AgentId
     members: tuple[AgentId, ...]
     starts: Sequence[int]
-    ranks: dict[AgentId, int] = field(init=False, repr=False, compare=False)
+    ranks: dict[AgentId, int]
 
-    def __post_init__(self) -> None:
-        size = len(self.members)
+    def __init__(self, owner: AgentId, members: tuple[AgentId, ...], starts: Sequence[int]):
+        size = len(members)
         numbers = _ints(size)
-        if len(self.starts) == size:
-            starts: Sequence[int] = range(size)
+        if len(starts) == size:
+            starts = range(size)
             values: Iterable[int] = numbers
         else:
             # Between two tie groups every group is a singleton, so there
             # both the offsets and the rank values are runs of consecutive
             # numbers; each run is one slice, and only a tie group adds a
             # repeated value.
-            count = len(self.starts)
+            count = len(starts)
             offsets: list[int] = []
             values = []
             g = 0
-            for t in _tie_groups(self.starts, size):
-                lo = self.starts[t]
-                hi = self.starts[t + 1] if t + 1 < count else size
+            for t in _tie_groups(starts, size):
+                lo = starts[t]
+                hi = starts[t + 1] if t + 1 < count else size
                 offsets += numbers[lo - t + g:lo + 1]
                 values += numbers[g:t]
                 values += [numbers[t]] * (hi - lo)
@@ -111,8 +172,11 @@ class PreferenceOrder:
             offsets += numbers[size - count + g:size]
             values += numbers[g:count]
             starts = tuple(offsets)
-        object.__setattr__(self, "starts", starts)
-        object.__setattr__(self, "ranks", dict(zip(self.members, values)))
+        set_field = object.__setattr__
+        set_field(self, "owner", owner)
+        set_field(self, "members", members)
+        set_field(self, "starts", starts)
+        set_field(self, "ranks", dict(zip(members, values)))
 
     @classmethod
     def from_groups(cls, owner: AgentId, raw: RawOrder) -> "PreferenceOrder":
@@ -167,8 +231,7 @@ class PreferenceOrder:
         return PreferenceOrder(self.owner, tuple(members), tuple(starts))
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(_Record):
     """A collection of preference orders, one per agent, keyed by owner.
 
     The constructor copies ``orders`` and raises DuplicateInOrder for an
@@ -177,10 +240,12 @@ class Profile:
     of agents may be odd.
     """
 
+    _fields = ("orders",)
+
     orders: Mapping[AgentId, PreferenceOrder]
 
-    def __post_init__(self) -> None:
-        orders = dict(self.orders)
+    def __init__(self, orders: Mapping[AgentId, PreferenceOrder]):
+        orders = dict(orders)
         for order in orders.values():
             if len(order.ranks) != len(order.members):
                 seen: set[AgentId] = set()
@@ -210,9 +275,10 @@ class Profile:
             raise ValueError(f"no agent {i} in this profile") from None
 
 
-@dataclass(frozen=True)
-class Matching:
+class Matching(_Record):
     """A set of disjoint unordered agent pairs."""
+
+    _fields = ("pairs",)
 
     pairs: tuple[tuple[AgentId, AgentId], ...]
 
@@ -258,9 +324,10 @@ class Matching:
         return iter(self.pairs)
 
 
-@dataclass(frozen=True)
-class WitnessOrder:
+class WitnessOrder(_Record):
     """A linear order over all agents of a profile, e.g. a single-peaked axis."""
+
+    _fields = ("sequence",)
 
     sequence: tuple[AgentId, ...]
 

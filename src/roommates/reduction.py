@@ -17,7 +17,6 @@ profiles that are single-peaked (first variant) or single-crossing
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
 
 from .coloring import Graph, check_degree_cap, misra_gries_edge_coloring
 from .errors import (
@@ -26,15 +25,16 @@ from .errors import (
     NotIndependent,
     WrongSize,
 )
-from .model import AgentId, Matching, Profile, WitnessOrder, build_profile
+from .model import AgentId, Matching, Profile, WitnessOrder, _Record, build_profile
 from .stability import find_blocking_pairs
 
 RawGroups = list[list[AgentId]]
 
 
-@dataclass(frozen=True)
-class BetweennessInstance:
+class BetweennessInstance(_Record):
     """Ordered triples (x, y, z) asking for y strictly between x and z."""
+
+    _fields = ("universe_size", "triples")
 
     universe_size: int
     triples: tuple[tuple[int, int, int], ...]
@@ -53,16 +53,23 @@ class BetweennessInstance:
         object.__setattr__(self, "triples", tuple(norm))
 
 
-@dataclass(frozen=True, eq=False)
-class ReducedInstance:
+class ReducedInstance(_Record):
     """A reduction's output: the profile plus everything needed to use it.
 
     ``agent_roles`` names every agent by its function in the construction
     (for printing and debugging); the id tables below are what the
     translation functions actually consult, so nothing ever parses a role
     string back apart.  Fields that a particular reduction does not
-    produce stay at their defaults.
+    produce stay at their defaults.  Two instances are equal only when
+    they are the same object.
     """
+
+    _fields = (
+        "profile", "agent_roles", "sp_witness", "graph", "k", "betweenness",
+        "vertex_agents", "a_gadgets", "b_gadgets",
+    )
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     profile: Profile
     agent_roles: Mapping[AgentId, str]

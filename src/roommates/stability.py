@@ -36,11 +36,10 @@ byte; it keeps its sizes in a list and the pick takes their minimum.
 from __future__ import annotations
 
 from collections.abc import Collection
-from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
 
-from .model import AgentId, Matching, Profile
+from .model import AgentId, Matching, Profile, _Record
 from .search import DEFAULT_SEARCH_BUDGET, depth_first
 
 
@@ -51,9 +50,10 @@ class BlockingReason(Enum):
     PREFERS_OVER_PARTNER = "prefers_over_partner"
 
 
-@dataclass(frozen=True)
-class BlockingPair:
+class BlockingPair(_Record):
     """An acceptable pair that would abandon a matching, with both motives."""
+
+    _fields = ("pair", "reason_x", "reason_y")
 
     pair: tuple[AgentId, AgentId]
     reason_x: BlockingReason

@@ -22,19 +22,19 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from collections import defaultdict
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
 from itertools import combinations, groupby, pairwise, permutations
 
 from .errors import BudgetExceeded, TieGroupTooLarge, TiesUnsupported, TooManyAgents
-from .model import AgentId, PreferenceOrder, Profile, WitnessOrder
+from .model import AgentId, PreferenceOrder, Profile, WitnessOrder, _Record
 from .search import DEFAULT_SEARCH_BUDGET, depth_first
 
 OrderLike = "WitnessOrder | Sequence[AgentId]"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(_Record):
     """Boolean check outcome plus the first counterexample when it fails."""
+
+    _fields = ("ok", "witness")
 
     ok: bool
     witness: tuple | None = None
@@ -43,9 +43,13 @@ class Verdict:
         return self.ok
 
 
-@dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(_Record):
     """Summary of a profile's structural properties, as printed by the CLI."""
+
+    _fields = (
+        "complete", "has_ties", "narcissistic", "single_peaked", "tssc",
+        "single_crossing", "notes",
+    )
 
     complete: bool
     has_ties: bool
@@ -53,7 +57,7 @@ class PropertyReport:
     single_peaked: Verdict | None = None
     tssc: Verdict | None = None
     single_crossing: bool | None = None
-    notes: tuple[str, ...] = field(default=())
+    notes: tuple[str, ...] = ()
 
 
 def _order_positions(profile: Profile, order: OrderLike) -> dict[AgentId, int]:

@@ -431,6 +431,36 @@ def test_budget_flag_outranks_the_environment(workdir):
     assert result.returncode == 0
 
 
+@pytest.mark.parametrize("argv, env, message", [
+    (("check", "fig2b.prof", "--order", "axis.order"), {"SR_SEARCH_BUDGET": "-1"},
+     "SR_SEARCH_BUDGET must be a non-negative integer, got '-1'"),
+    (("check", "fig2b.prof", "--order", "axis.order"), {"SR_SEARCH_BUDGET": " "},
+     "SR_SEARCH_BUDGET must be a non-negative integer, got ' '"),
+    (("enumerate", "example1.prof"), {"SR_SEARCH_BUDGET": "many"},
+     "SR_SEARCH_BUDGET must be a non-negative integer, got 'many'"),
+    (("solve", "--algorithm", "brute", "example1.prof", "--budget", "-1"), {},
+     "--budget must be a non-negative integer, got -1"),
+    (("enumerate", "example1.prof", "--budget", "-5"), {"SR_SEARCH_BUDGET": "100"},
+     "--budget must be a non-negative integer, got -5"),
+])
+def test_negative_or_malformed_budgets_are_one_line_errors(workdir, argv, env, message):
+    result = run(*argv, cwd=workdir, env=env)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == f"error: ValueError: {message}\n"
+
+
+def test_a_zero_budget_is_a_budget(workdir):
+    flag = run("enumerate", "example1.prof", "--budget", "0", cwd=workdir)
+    assert flag.returncode == 2
+    assert flag.stderr == "error: BudgetExceeded: search exceeded its budget of 0 nodes\n"
+    check = run("check", "fig2b.prof", "--order", "axis.order", cwd=workdir,
+                env={"SR_SEARCH_BUDGET": "0"})
+    assert check.returncode == 0
+    assert check.stdout == run("check", "fig2b.prof", "--order", "axis.order",
+                               cwd=workdir).stdout
+
+
 def test_missing_file_is_a_plain_error(workdir):
     result = run("check", "nowhere.prof", cwd=workdir)
     assert result.returncode == 2
@@ -520,6 +550,42 @@ def test_solve_and_verify_load_no_check_generator_or_reduction(workdir):
         assert code == 0, argv
         assert "stability" in loaded
         assert loaded & {"structure", "reduction", "coloring", "instances"} == set(), argv
+
+
+# Runs ``cli.main`` on the arguments, then prints its exit code and which of
+# ``dataclasses`` and ``inspect`` it loaded, as the last line of stderr.  Only modules
+# new since before the package import count, so a module that the
+# interpreter's start-up loads on some machine cannot make this flaky.
+NEWLY_LOADED = """\
+import sys
+before = set(sys.modules)
+from roommates import cli
+try:
+    code = cli.main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(code, *sorted({"dataclasses", "inspect"} & (set(sys.modules) - before)),
+      file=sys.stderr)
+"""
+
+
+def test_no_command_loads_dataclasses_or_inspect(workdir):
+    (workdir / "example1.match").write_text("pair 0 1\npair 2 3\n")
+    (workdir / "path.graph").write_text("vertices 4\nedge 0 1\nedge 1 2\nedge 2 3\n")
+    commands = [
+        ("--help",),
+        ("check", "fig2b.prof", "--order", "axis.order"),
+        ("solve", "example1.prof"),
+        ("solve", "--algorithm", "brute", "example1.prof"),
+        ("enumerate", "example1.prof"),
+        ("verify", "example1.prof", "example1.match"),
+        ("gen", "sp-profile", "--n", "6", "--ties", "--seed", "2"),
+        ("reduce", "is2sr", "path.graph", "-k", "2", "--output", "red"),
+    ]
+    for argv in commands:
+        result = run_code(NEWLY_LOADED, *argv, cwd=workdir)
+        assert result.stderr.splitlines()[-1] == "0", (argv, result.stderr)
+    assert (workdir / "red.prof").exists()
 
 
 def test_a_wrapper_set_before_first_use_is_the_one_called(workdir):

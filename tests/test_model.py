@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -10,13 +12,24 @@ from hypothesis import strategies as st
 
 from roommates import (
     AsymmetricAcceptability,
+    BetweennessInstance,
+    BlockingPair,
+    BlockingReason,
     DuplicateInOrder,
+    EdgeColoring,
+    GeneratorConfig,
+    Graph,
     Matching,
     PreferenceOrder,
     Profile,
+    PropertyReport,
+    SolveTrace,
+    Verdict,
+    WitnessOrder,
     break_ties_fixed,
     build_profile,
     fixture,
+    independent_set_to_sr,
     most_acceptable_set,
     restrict,
     serialize_profile,
@@ -293,3 +306,154 @@ def test_empty_profile_object_is_legal():
     empty = Profile({})
     assert empty.agents == ()
     assert empty.n_agents == 0
+
+
+# ---------------------------------------------------------------------------
+# Value semantics of the package's records
+# ---------------------------------------------------------------------------
+
+def _records():
+    """Per record class: a maker of one value, a differing value, its fields."""
+    unmatched, prefers = BlockingReason.UNMATCHED, BlockingReason.PREFERS_OVER_PARTNER
+    return {
+        "PreferenceOrder": (
+            lambda: PreferenceOrder.from_groups(1, [[1], [2, 0], [3]]),
+            PreferenceOrder.from_groups(1, [[1], [0], [2, 3]]),
+            ("owner", "members", "starts"),
+        ),
+        "Profile": (
+            lambda: fixture("example1"), fixture("example1_modified"), ("orders",),
+        ),
+        "Matching": (lambda: Matching([(1, 0), (2, 3)]), Matching([(0, 2)]), ("pairs",)),
+        "WitnessOrder": (lambda: WitnessOrder([2, 0, 1]), WitnessOrder([0, 1, 2]), ("sequence",)),
+        "Verdict": (lambda: Verdict(False, (0, 1, 2)), Verdict(False), ("ok", "witness")),
+        "PropertyReport": (
+            lambda: PropertyReport(True, False, True, Verdict(True), Verdict(False, (1, 2)),
+                                   False, ("a note",)),
+            PropertyReport(True, False, True),
+            ("complete", "has_ties", "narcissistic", "single_peaked", "tssc",
+             "single_crossing", "notes"),
+        ),
+        "BlockingPair": (
+            lambda: BlockingPair((0, 1), unmatched, prefers),
+            BlockingPair((0, 1), prefers, unmatched),
+            ("pair", "reason_x", "reason_y"),
+        ),
+        "SolveTrace": (
+            lambda: SolveTrace((((0, 1), 2), ((2, 3), 0))), SolveTrace(()), ("rounds",),
+        ),
+        "GeneratorConfig": (
+            lambda: GeneratorConfig(6, True, 0.5, 3), GeneratorConfig(6),
+            ("n_agents", "allow_ties", "tie_probability", "seed"),
+        ),
+        "Graph": (lambda: Graph(3, [(1, 0), (2, 1)]), Graph(3, [(0, 1)]), ("n_vertices", "edges")),
+        "EdgeColoring": (
+            lambda: EdgeColoring((((0, 1),), ((1, 2),))), EdgeColoring((((0, 1), (2, 3)),)),
+            ("classes",),
+        ),
+        "BetweennessInstance": (
+            lambda: BetweennessInstance(3, [(0, 1, 2)]), BetweennessInstance(3, [(2, 1, 0)]),
+            ("universe_size", "triples"),
+        ),
+    }
+
+
+RECORDS = sorted(_records())
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_compare_and_hash_by_their_fields(name):
+    make, other, fields = _records()[name]
+    first, second = make(), make()
+    assert first is not second
+    assert first == second and not first != second
+    assert first != other
+    assert first != tuple(getattr(first, f) for f in fields)
+    if name == "Profile":
+        with pytest.raises(TypeError):
+            hash(first)
+    else:
+        assert hash(first) == hash(second)
+        assert len({first, second, other}) == 2
+
+
+def test_an_orders_ranks_take_no_part_in_equality_or_hash():
+    first = PreferenceOrder.from_groups(0, [[0], [1, 2]])
+    second = PreferenceOrder.from_groups(0, [[0], [1, 2]])
+    object.__setattr__(second, "ranks", {})
+    assert first == second and hash(first) == hash(second)
+    assert "ranks" not in repr(first)
+
+
+def test_records_print_as_their_fields():
+    assert repr(Matching([(1, 0)])) == "Matching(pairs=((0, 1),))"
+    assert repr(Verdict(True)) == "Verdict(ok=True, witness=None)"
+    assert repr(WitnessOrder([2, 0])) == "WitnessOrder(sequence=(2, 0))"
+    assert repr(PreferenceOrder.from_groups(1, [[1], [2, 0]])) == (
+        "PreferenceOrder(owner=1, members=(1, 0, 2), starts=(0, 1))"
+    )
+    assert repr(Profile({0: PreferenceOrder.from_groups(0, [[0]])})) == (
+        "Profile(orders={0: PreferenceOrder(owner=0, members=(0,), starts=range(0, 1))})"
+    )
+    assert repr(PropertyReport(True, False, True)) == (
+        "PropertyReport(complete=True, has_ties=False, narcissistic=True, "
+        "single_peaked=None, tssc=None, single_crossing=None, notes=())"
+    )
+    for name in RECORDS:
+        make, _, fields = _records()[name]
+        value = make()
+        assert repr(value) == (
+            f"{name}(" + ", ".join(f"{f}={getattr(value, f)!r}" for f in fields) + ")"
+        )
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_fields_can_be_neither_assigned_nor_deleted(name):
+    make, _, fields = _records()[name]
+    value = make()
+    for field in fields:
+        before = getattr(value, field)
+        with pytest.raises(AttributeError):
+            setattr(value, field, before)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        assert getattr(value, field) is before
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_survive_pickle_and_deepcopy(name):
+    make, _, _ = _records()[name]
+    value = make()
+    for protocol in (0, 2, pickle.HIGHEST_PROTOCOL):
+        assert pickle.loads(pickle.dumps(value, protocol)) == value
+    assert copy.deepcopy(value) == value
+    assert copy.copy(value) == value
+
+
+def test_records_take_their_fields_by_position_or_keyword():
+    assert Verdict(ok=False, witness=(1,)) == Verdict(False, (1,))
+    assert Verdict(True).witness is None
+    report = PropertyReport(True, has_ties=False, narcissistic=True, notes=("n",))
+    assert (report.single_peaked, report.tssc, report.single_crossing) == (None, None, None)
+    assert report.notes == ("n",)
+    for args, kwargs in [((), {}), ((True, None, 1), {}), ((True,), {"ok": False}),
+                         ((True,), {"note": 1})]:
+        with pytest.raises(TypeError):
+            Verdict(*args, **kwargs)
+
+
+def test_reduced_instances_compare_by_identity():
+    graph = Graph(2, [(0, 1)])
+    first, second = independent_set_to_sr(graph, 1), independent_set_to_sr(graph, 1)
+    assert first == first and first != second
+    assert len({first, second}) == 2
+    fields = ("profile", "agent_roles", "sp_witness", "graph", "k", "betweenness",
+              "vertex_agents", "a_gadgets", "b_gadgets")
+    values = [getattr(first, f) for f in fields]
+    assert values == [getattr(second, f) for f in fields]
+    for clone in (pickle.loads(pickle.dumps(first)), copy.deepcopy(first)):
+        assert clone != first
+        assert [getattr(clone, f) for f in fields] == values
+    with pytest.raises(AttributeError):
+        first.k = 2
+    assert repr(first).startswith("ReducedInstance(profile=Profile(orders={")
