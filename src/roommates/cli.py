@@ -9,8 +9,9 @@ as a single ``error: <Type>: <message>`` line.  An unexpected exception reads
 
 A search's node budget comes from --budget when given, else from the
 SR_SEARCH_BUDGET environment variable, else a built-in default.  ``check``
-has no flag; its exact single-crossing search reads the variable.  A
-negative or non-integer budget from either source is an error.
+has no flag; its exact single-crossing search, which alone can print
+``unknown``, reads the variable and runs only when some voter does not rank
+every agent, itself included.  A negative or non-integer budget is an error.
 
 A command loads only the modules it runs: ``check`` compiles neither the
 solvers nor the reductions, and ``--help`` not even the structure checks.

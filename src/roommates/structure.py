@@ -23,9 +23,10 @@ from bisect import bisect_left, bisect_right, insort
 from collections import defaultdict
 from collections.abc import Iterator, Sequence
 from itertools import combinations, groupby, pairwise, permutations
+from operator import add
 
 from .errors import BudgetExceeded, TieGroupTooLarge, TiesUnsupported, TooManyAgents
-from .model import AgentId, PreferenceOrder, Profile, WitnessOrder, _Record
+from .model import AgentId, PreferenceOrder, Profile, WitnessOrder, _Record, _tie_groups
 from .search import DEFAULT_SEARCH_BUDGET, depth_first
 
 OrderLike = "WitnessOrder | Sequence[AgentId]"
@@ -197,18 +198,23 @@ def _voter_relations(
 def _first_crossing_violation(
     profile: Profile, pos: dict[AgentId, int]
 ) -> tuple[AgentId, AgentId] | None:
-    """Smallest pair whose collapsed runs leave _CROSSING_RUNS, or None.
-
-    When every voter ranks every agent, itself included, the tie-aware
-    Kendall identity decides with O(n^2 log n) comparisons; otherwise the
-    streaming scan reads every voter's view of every pair it ranks.
-    """
-    everyone = profile.agent_set
-    if everyone and all(
-        order.ranks.keys() == everyone for order in profile.orders.values()
-    ):
-        return _kendall_crossing_violation(profile, pos)
+    """Smallest pair whose collapsed runs leave _CROSSING_RUNS, or None."""
+    if _kendall_domain(profile):
+        return _kendall_crossing_violation(profile.agents, _along(profile, pos))
     return _scan_crossing_violation(profile, pos)
+
+
+def _kendall_domain(profile: Profile) -> bool:
+    """True when every voter ranks every agent, itself included."""
+    everyone = profile.agent_set
+    return bool(everyone) and all(
+        order.ranks.keys() == everyone for order in profile.orders.values()
+    )
+
+
+def _along(profile: Profile, pos: dict[AgentId, int]) -> list[PreferenceOrder]:
+    """The voters' orders in axis order."""
+    return [profile.orders[v] for v in sorted(profile.orders, key=pos.__getitem__)]
 
 
 def _scan_crossing_violation(
@@ -223,8 +229,8 @@ def _scan_crossing_violation(
     """
     runs: defaultdict[tuple[AgentId, AgentId], str] = defaultdict(str)
     violated: set[tuple[AgentId, AgentId]] = set()
-    for v in sorted(profile.orders, key=pos.__getitem__):
-        for pair, rel in _voter_relations(profile.orders[v]):
+    for order in _along(profile, pos):
+        for pair, rel in _voter_relations(order):
             seen = runs[pair]
             if seen[-1:] == rel:
                 continue
@@ -236,18 +242,19 @@ def _scan_crossing_violation(
     return min(violated, default=None)
 
 
-def _doubled_midranks(order: PreferenceOrder, index: dict[AgentId, int]) -> list[int]:
+def _doubled_midranks(
+    order: PreferenceOrder, index: dict[AgentId, int], odd: list[int]
+) -> list[int]:
     """Twice each agent's mid-rank plus one, in a list in ``index`` order.
 
     An agent in a tie group holding positions b .. b+s-1 gets 2b + s, so the
-    values order agents as the voter does, ties equal.
+    values order agents as the voter does, ties equal.  That is the group's
+    start plus the next group's: ``odd[g]`` = 2g + 1 in a strict order.
     """
-    keys = [0] * len(index)
-    members = order.members
-    for lo, hi in pairwise((*order.starts, len(members))):
-        for a in members[lo:hi]:
-            keys[index[a]] = lo + hi
-    return keys
+    mids, starts = odd, order.starts
+    if order.has_tie:
+        mids = list(map(add, starts, (*starts[1:], len(order.members))))
+    return list(map(mids.__getitem__, map(order.ranks.__getitem__, index)))
 
 
 def _discord(
@@ -292,9 +299,9 @@ def _discord(
 
 
 def _kendall_crossing_violation(
-    profile: Profile, pos: dict[AgentId, int]
+    agents: tuple[AgentId, ...], voters: list[PreferenceOrder]
 ) -> tuple[AgentId, AgentId] | None:
-    """:func:`_first_crossing_violation` for profiles ranking every agent.
+    """:func:`_first_crossing_violation` for voters, in axis order, ranking every agent.
 
     With A, T, B read as -1, 0, +1, a pair's collapsed runs stay in
     _CROSSING_RUNS exactly when its sequence along the axis is monotone,
@@ -304,11 +311,10 @@ def _kendall_crossing_violation(
     smallest such x is the first coordinate of the smallest violating pair,
     and one pass over x's partners finds the second.
     """
-    agents = profile.agents
     n = len(agents)
     index = {a: k for k, a in enumerate(agents)}
-    voters = [profile.orders[v] for v in sorted(profile.orders, key=pos.__getitem__)]
-    keys = [_doubled_midranks(order, index) for order in voters]
+    odd = list(range(1, 2 * n, 2))
+    keys = [_doubled_midranks(order, index, odd) for order in voters]
     excess = [-d for d in _discord(voters[0], index, keys[0], keys[-1])]
     for order, ku, kv in zip(voters, keys, keys[1:]):
         excess = [e + d for e, d in zip(excess, _discord(order, index, ku, kv))]
@@ -393,17 +399,7 @@ def break_ties_fixed(profile: Profile, tiebreak: OrderLike) -> Profile:
     ``tiebreak``.  Profiles without ties come back equal to the input.
     """
     pos = _order_positions(profile, tiebreak)
-    new_orders = {}
-    for i, order in profile.orders.items():
-        members = order.members
-        if order.has_tie:
-            members = tuple(
-                m
-                for group in order.group_slices()
-                for m in sorted(group, key=pos.__getitem__)
-            )
-        new_orders[i] = PreferenceOrder(i, members, range(len(members)))
-    return Profile(orders=new_orders)
+    return Profile({i: _broken_by(order, pos) for i, order in profile.orders.items()})
 
 
 def is_sc_wrt(
@@ -416,27 +412,25 @@ def is_sc_wrt(
 ) -> bool:
     """Is some per-agent linear extension single-crossing w.r.t. ``order``?
 
-    Tries one cheap sufficient check first: break all ties by ascending id
-    and test the resulting strict profile.  If that fails, searches the tie
-    resolutions exactly, voter by voter along the axis.  The exact search
-    refuses tie groups larger than ``max_tie_group`` (TieGroupTooLarge)
-    rather than guessing, and raises BudgetExceeded past ``budget`` nodes.
+    When every voter ranks every agent, itself included, :func:`_resolve_ties`
+    picks the extensions and the strict check decides: O(n^2 log n)
+    comparisons.  Otherwise ties broken by ascending id are tried first, then
+    :func:`_sc_exact` searches, refusing tie groups above ``max_tie_group``
+    (TieGroupTooLarge) and raising BudgetExceeded past ``budget`` nodes.
 
     ``tssc``, when given, must be :func:`is_tssc_wrt` of this same profile
-    and axis; it is trusted, not re-checked.  A yes settles the question,
-    since breaking ties by any one global order keeps every pair's blocks
-    monotone, and without ties the two properties coincide, so a no does
-    too.  Only a tied profile with a tssc no is then decided here.
-
-    The strict check costs what :func:`is_tssc_wrt` does: O(n^2 log n)
-    comparisons when every voter ranks every agent, itself included, else
-    O(n^3) time.
+    and axis, and is trusted.  A yes settles the question, since breaking
+    ties by any one global order keeps every pair's blocks monotone; so does
+    a no without ties, where the two properties coincide.
     """
     pos = _order_positions(profile, order)
     if tssc is not None and (tssc.ok or not has_ties(profile)):
         return tssc.ok
     if not has_ties(profile):
         return _first_crossing_violation(profile, pos) is None
+    if _kendall_domain(profile):
+        voters = _resolve_ties(_along(profile, pos))
+        return _kendall_crossing_violation(profile.agents, voters) is None
     tiebroken = break_ties_fixed(profile, WitnessOrder(sorted(profile.agent_set)))
     if _first_crossing_violation(tiebroken, pos) is None:
         return True
@@ -447,17 +441,63 @@ def is_sc_wrt(
     return _sc_exact(profile, pos, budget)
 
 
+def _resolve_ties(voters: list[PreferenceOrder]) -> list[PreferenceOrder]:
+    """Strict extensions of ``voters`` (in axis order, each ranking every
+    agent) that are single-crossing if any extensions are.
+
+    Backward, each voter breaks its ties by its successor's resolved order
+    (the last voter by id); this sorts the first voter's tie groups by the
+    later voters' rank vectors, lexicographically.  Forward from the second
+    voter, each breaks its ties by its predecessor's.  This is exact:
+
+    - Pairs are independent: a pair's run string changes only through its
+      own letters, and at a voter that ties it, keeping the last letter (or,
+      with none, taking the first later strict letter) is never worse than
+      the other, as every continuation that works from the other state
+      works from this one.
+    - The choices fit together: as every voter ranks every pair, a tied
+      pair's last letter is its letter in the predecessor's resolved order,
+      so a voter's choices come from one linear order, and the first
+      voter's from a lexicographic one.  Voters that omit themselves break
+      this: a pair with the previous voter then takes its letter from two
+      voters back, and the choices can form a cycle.
+    """
+    resolved = voters[-1]
+    for order in reversed(voters):
+        resolved = _broken_by(order, resolved.ranks)
+    out = [resolved]
+    for order in voters[1:]:
+        out.append(_broken_by(order, out[-1].ranks))
+    return out
+
+
+def _broken_by(order: PreferenceOrder, ranks: dict[AgentId, int]) -> PreferenceOrder:
+    """``order`` with each tie group sorted by ``ranks``, ties there by id."""
+    if not order.has_tie:
+        return order
+    members, starts = order.members, order.starts
+    out: list[AgentId] = []
+    done = 0
+    for t in _tie_groups(starts, len(members)):
+        group = order.group(t)
+        out += members[done:starts[t]]
+        out += sorted(group, key=ranks.__getitem__)
+        done = starts[t] + len(group)
+    out += members[done:]
+    return PreferenceOrder(order.owner, tuple(out), range(len(members)))
+
+
 def _sc_exact(profile: Profile, pos: dict[AgentId, int], budget: int) -> bool:
     """Exact single-crossing decision by backtracking over tie resolutions.
 
     Voters are processed along the axis; each pair keeps its collapsed run
     string, and a tie group's permutations are only explored as far as
     those strings stay in _CROSSING_RUNS.  Exponential in the worst case —
-    callers go through :func:`is_sc_wrt`, which guards group sizes and
-    handles the common cases cheaply — so it stops with BudgetExceeded past
-    ``budget`` nodes.
+    :func:`is_sc_wrt` calls it only when some voter does not rank every
+    agent, itself included, and guards group sizes — so it stops with
+    BudgetExceeded past ``budget`` nodes.
     """
-    voters = [profile.orders[v] for v in sorted(profile.orders, key=pos.__getitem__)]
+    voters = _along(profile, pos)
     runs: defaultdict[tuple[AgentId, AgentId], str] = defaultdict(str)
     # Backtracking revisits voters, so each one's strict relations are
     # listed once, on its first visit.
@@ -474,10 +514,8 @@ def _sc_exact(profile: Profile, pos: dict[AgentId, int], budget: int) -> bool:
                     strict[k] = [p for p in _voter_relations(order) if p[1] != _T]
                 if not _extend_runs(runs, strict[k], trail):
                     break
-            tied = next(
-                (h for h in range(g, len(order.starts)) if len(order.group(h)) > 1),
-                None,
-            )
+            ties = _tie_groups(order.starts, len(order.members))
+            tied = next((h for h in ties if h >= g), None)
             if tied is None:
                 k, g = k + 1, 0
                 continue
@@ -662,8 +700,9 @@ def property_report(
 ) -> PropertyReport:
     """Bundle the definitional checks, plus per-axis verdicts when given one.
 
-    An exact single-crossing search that refuses its input or passes
-    ``budget`` nodes leaves the verdict unknown, with a note saying why.
+    The exact single-crossing search runs only when some voter does not
+    rank every agent, itself included; if it refuses its input or passes
+    ``budget`` nodes, the verdict is unknown, with a note saying why.
     """
     notes: list[str] = []
     single_peaked = tssc = None

@@ -373,6 +373,39 @@ def random_complete_profile(
     return build_profile(raw)
 
 
+def random_sc_profile(
+    rng: random.Random, n: int, p_tie: float = 0.5
+) -> tuple[Profile, list[AgentId]]:
+    """A profile in which every voter ranks every agent, and its voter axis.
+
+    The first voter on a random axis ranks the agents at random.  Each later
+    voter copies its predecessor and swaps a few adjacent agents, only ever
+    a pair still in the first voter's order, so every pair switches at most
+    once along the axis and the strict profile is single-crossing on it.
+    Then each voter merges adjacent entries into ties with probability
+    ``p_tie``, which keeps the strict profile one of its extensions.
+    """
+    axis = list(range(n))
+    rng.shuffle(axis)
+    order = list(range(n))
+    rng.shuffle(order)
+    first = {a: k for k, a in enumerate(order)}
+    raw: dict[int, list[list[int]]] = {}
+    for voter in axis:
+        for _ in range(rng.randrange(n)):
+            k = rng.randrange(n - 1)
+            if first[order[k]] < first[order[k + 1]]:
+                order[k], order[k + 1] = order[k + 1], order[k]
+        groups: list[list[int]] = []
+        for a in order:
+            if groups and rng.random() < p_tie:
+                groups[-1].append(a)
+            else:
+                groups.append([a])
+        raw[voter] = groups
+    return build_profile(raw), axis
+
+
 def random_matching(rng: random.Random, profile: Profile) -> Matching:
     """A random (possibly empty, possibly partial) matching of the profile."""
     pairs = mutually_acceptable_pairs(profile)

@@ -26,6 +26,7 @@ from roommates import (
     GeneratorConfig,
     Graph,
     Matching,
+    Profile,
     WitnessOrder,
     betweenness_to_sc_instance,
     betweenness_to_sp_instance,
@@ -404,14 +405,23 @@ def test_budget_env_variable_caps_the_search(workdir):
     assert result.stderr.startswith("error: BudgetExceeded:")
 
 
-def test_check_reports_a_crossing_search_over_budget_as_unknown(tmp_path):
-    # A tied SP profile whose swapped axis needs the exact tie search.
-    profile, axis = gen_narcissistic_sp(GeneratorConfig(28, True, 0.5, 2))
+def _write_tied_sp(tmp_path, n, seed, swap=None, omit_self=False):
+    """A tied SP profile and its axis, optionally swapped at ``swap``, ``swap+1``."""
+    profile, axis = gen_narcissistic_sp(GeneratorConfig(n, True, 0.5, seed))
+    if omit_self:
+        profile = Profile({i: o.without({i}) for i, o in profile.orders.items()})
     seq = list(axis.sequence)
-    seq[14], seq[15] = seq[15], seq[14]
+    if swap is not None:
+        seq[swap], seq[swap + 1] = seq[swap + 1], seq[swap]
     (tmp_path / "tied.prof").write_text(serialize_profile(profile))
-    (tmp_path / "swap.order").write_text(serialize_order(WitnessOrder(seq)))
-    argv = ("check", "tied.prof", "--order", "swap.order")
+    (tmp_path / "axis.order").write_text(serialize_order(WitnessOrder(seq)))
+    return ("check", "tied.prof", "--order", "axis.order")
+
+
+def test_check_reports_a_crossing_search_over_budget_as_unknown(tmp_path):
+    # A tied SP profile whose voters omit themselves, on a swapped axis: the
+    # exact tie search decides it.
+    argv = _write_tied_sp(tmp_path, 28, 2, swap=14, omit_self=True)
     capped = run(*argv, cwd=tmp_path, env={"SR_SEARCH_BUDGET": "1"})
     answered = run(*argv, cwd=tmp_path)
     assert capped.returncode == answered.returncode == 0
@@ -421,6 +431,26 @@ def test_check_reports_a_crossing_search_over_budget_as_unknown(tmp_path):
     assert capped.stdout != answered.stdout
     assert capped.stderr == "note: search exceeded its budget of 1 nodes\n"
     assert answered.stderr == ""
+
+
+def test_check_answers_tied_crossing_without_a_budget_when_voters_rank_all(tmp_path):
+    # The same profile with its self-entries kept needs no search at all.
+    argv = _write_tied_sp(tmp_path, 28, 2, swap=14)
+    capped = run(*argv, cwd=tmp_path, env={"SR_SEARCH_BUDGET": "0"})
+    assert capped.returncode == 0
+    assert capped.stdout == run(*argv, cwd=tmp_path).stdout
+    assert "single-crossing: no\n" in capped.stdout
+    assert capped.stderr == ""
+
+
+@pytest.mark.parametrize("n", [60, 200])
+@pytest.mark.parametrize("axis, answer", [("true", "yes"), ("swapped", "no")])
+def test_check_decides_large_tied_crossing_questions(tmp_path, n, axis, answer):
+    argv = _write_tied_sp(tmp_path, n, 3, swap=n // 2 if axis == "swapped" else None)
+    result = run(*argv, cwd=tmp_path)
+    assert result.returncode == 0
+    assert f"single-crossing: {answer}\n" in result.stdout
+    assert result.stderr == ""
 
 
 def test_budget_flag_outranks_the_environment(workdir):

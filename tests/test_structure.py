@@ -41,6 +41,7 @@ from oracles import (
     first_valley_witness,
     random_complete_profile,
     random_profile,
+    random_sc_profile,
     sc_by_definition,
     single_peaked_by_definition,
     tssc_by_definition,
@@ -330,8 +331,9 @@ def test_discord_matches_the_definition_on_tied_order_pairs():
             if len(u.group(g)) > 1:
                 tied_at["start" if g == 0 else "end" if g == last else "middle"] += 1
         index = {a: k for k, a in enumerate(agents)}
-        ku = structure._doubled_midranks(u, index)
-        kv = structure._doubled_midranks(v, index)
+        odd = list(range(1, 2 * len(agents), 2))
+        ku = structure._doubled_midranks(u, index, odd)
+        kv = structure._doubled_midranks(v, index, odd)
         assert structure._discord(u, index, ku, kv) == (
             _definitional_discord(u, v, agents)
         )
@@ -437,22 +439,48 @@ def test_sc_exact_search_matches_the_brute_oracle():
         assert is_sc_wrt(profile, order) == sc_by_definition(profile, order)
 
 
-def test_sc_exact_search_answers_a_deep_tied_instance():
-    # Frozen value, found in about 2 s.  The 50 voters hold about 2,500
-    # groups but only 21 tied ones, and the search stacks a frame per tied
-    # group only, so it stays far below the default recursion limit.
+def test_a_deep_tied_instance_is_answered_without_a_search():
+    # Frozen value.  Every voter ranks every agent, itself included, so one
+    # tie-resolution pass and the strict check answer it: no search runs.
     profile, axis = gen_narcissistic_sp(GeneratorConfig(50, True, 0.5, 3))
     order = list(axis.sequence)
     order[25], order[26] = order[26], order[25]
     assert is_sc_wrt(profile, order) is False
 
 
-def test_oversized_tie_groups_are_refused_not_guessed():
+def _tied_behind_self(omitting=()):
+    """Eight agents, each ranking itself first and the other seven in one tie.
+
+    The voters in ``omitting`` leave themselves out, so those profiles are
+    off the domain where every voter ranks every agent.
+    """
     raw = {i: [[i], [j for j in range(8) if j != i]] for i in range(8)}
-    profile = build_profile(raw)
+    for i in omitting:
+        raw[i] = raw[i][1:]
+    return build_profile(raw)
+
+
+def test_oversized_tie_groups_are_refused_not_guessed():
+    # With every self-entry dropped, ties broken by id already settle it, so
+    # only agent 0 leaves itself out here; that keeps the exact search.
+    profile = _tied_behind_self(omitting=[0])
     with pytest.raises(TieGroupTooLarge):
         is_sc_wrt(profile, WitnessOrder(range(8)))
     assert is_sc_wrt(profile, WitnessOrder(range(8)), max_tie_group=7)
+
+
+def test_the_tie_resolution_pass_needs_no_guard_or_budget():
+    # Every voter ranks every agent in these inputs, so neither the tie-group
+    # guard nor the budget applies; the exact search refused the first and
+    # needs 126 nodes on the second.
+    profile = _tied_behind_self()
+    assert is_sc_wrt(profile, WitnessOrder(range(8)), max_tie_group=1, budget=0)
+    report = property_report(profile, WitnessOrder(range(8)), budget=0)
+    assert (report.single_crossing, report.notes) == (True, ())
+    profile, order = tied_swapped_axis(2)
+    assert is_sc_wrt(profile, order, budget=0) is False
+    report = property_report(profile, order, budget=0)
+    assert (report.single_crossing, report.notes) == (False, ())
 
 
 def _sc_outcome(profile, axis, **kwargs):
@@ -488,6 +516,51 @@ def test_a_passed_tssc_verdict_gives_the_same_answer():
     assert checked >= 250 and incomplete >= 80 and tssc_no_tied >= 50
 
 
+def _kendall_sweep_cases(rng):
+    """Profiles in which every voter ranks every agent, with voter axes.
+
+    Most are built single-crossing and then tied, on their own axis or with
+    two axis positions swapped; the rest are random complete profiles on
+    shuffled axes.
+    """
+    for _ in range(3000):
+        n = rng.randint(2, 6)
+        profile, axis = random_sc_profile(rng, n, rng.choice((0.3, 0.6)))
+        if rng.random() < 0.3:
+            j, k = rng.sample(range(n), 2)
+            axis[j], axis[k] = axis[k], axis[j]
+        yield profile, axis
+    for _ in range(400):
+        profile = random_complete_profile(
+            rng, rng.randint(2, 6), rng.random() < 0.5, rng.choice((0.3, 0.6))
+        )
+        yield profile, rng.sample(profile.agents, profile.n_agents)
+
+
+def test_the_tie_resolution_pass_matches_the_oracle():
+    checked = tied_yes = missed_by_ids = no = 0
+    for profile, axis in _kendall_sweep_cases(random.Random(20)):
+        try:
+            expected = sc_by_definition(profile, axis, cap=1024)
+        except ValueError:
+            continue  # too many tie resolutions for the oracle
+        assert is_sc_wrt(profile, axis) == expected
+        checked += 1
+        no += not expected
+        if expected and has_ties(profile):
+            tied_yes += 1
+            by_ids = break_ties_fixed(profile, sorted(profile.agents))
+            missed_by_ids += not is_tssc_wrt(by_ids, axis).ok
+    assert checked >= 2000 and tied_yes >= 500 and missed_by_ids >= 200 and no >= 200
+
+
+def test_the_tie_resolution_pass_keeps_the_exact_search_verdicts():
+    # Frozen from the exact search, which the pass replaces on these tied
+    # n=28 swapped inputs of generator seeds 0-59: all no.
+    verdicts = [is_sc_wrt(*tied_swapped_axis(seed)) for seed in range(60)]
+    assert verdicts == [False] * 60
+
+
 def _count_calls(monkeypatch, name):
     calls = []
     real = getattr(structure, name)
@@ -512,7 +585,8 @@ def test_report_decides_crossing_once_unless_tssc_fails_on_ties(
     order = _adjacent_swap(axis, 15) if swap else axis.sequence
     assert has_ties(profile) == ties
     kendall_calls = _count_calls(monkeypatch, "_kendall_crossing_violation")
-    tiebreak_calls = _count_calls(monkeypatch, "break_ties_fixed")
+    # Every voter ranks every agent here, so ties are broken by one pass.
+    tiebreak_calls = _count_calls(monkeypatch, "_resolve_ties")
     report = property_report(profile, order)
     assert report.tssc.ok == (not swap)
     assert (len(kendall_calls), len(tiebreak_calls)) == (kendall, tiebreaks)
@@ -766,8 +840,7 @@ def test_report_with_an_order_fills_the_verdicts():
 
 
 def test_report_notes_an_unanswerable_crossing_question():
-    raw = {i: [[i], [j for j in range(8) if j != i]] for i in range(8)}
-    report = property_report(build_profile(raw), WitnessOrder(range(8)))
+    report = property_report(_tied_behind_self(omitting=[0]), WitnessOrder(range(8)))
     assert report.single_crossing is None
     assert report.notes
 
@@ -781,9 +854,10 @@ def tied_swapped_axis(seed):
 
 
 def test_report_is_unknown_when_the_exact_crossing_search_passes_its_budget():
-    # The tie-broken check fails here, so the answer needs the exact search,
-    # which takes 126 nodes.
+    # With the self-entries dropped the tie-broken check fails here, so the
+    # answer needs the exact search, which takes 126 nodes.
     profile, order = tied_swapped_axis(2)
+    profile = _deleting(profile, {i: {i} for i in profile.agents})
     with pytest.raises(BudgetExceeded):
         is_sc_wrt(profile, order, budget=125)
     assert is_sc_wrt(profile, order, budget=126) is False
