@@ -132,7 +132,7 @@ def _flat_order(
                 members += sorted(group)
             lo = hit + 1
         order = PreferenceOrder(agent, tuple(members), starts)
-    return order if len(order.ranks) == len(order.members) else None
+    return order if len(set(order.members)) == len(order.members) else None
 
 
 def _raw_groups(tail: str, n: int, line_no: int) -> list[list[AgentId]]:

@@ -56,12 +56,12 @@ def find_mutual_most_acceptable_pair(profile: Profile) -> Pair | None:
 
 
 def _check_preconditions(profile: Profile) -> None:
-    # Every Profile has symmetric acceptability, so an order ranks only its
-    # profile's agents and is complete when it ranks all but maybe its owner.
+    # In a Profile an order ranks only the profile's agents, none twice, so
+    # it is complete when it ranks all but maybe its owner.
     n = profile.n_agents
     for i in profile.agents:
-        ranks = profile.orders[i].ranks
-        if len(ranks) + (i not in ranks) != n:
+        members = profile.orders[i].members
+        if len(members) + (i not in members) != n:
             raise NotComplete(i)
     for i in profile.agents:
         order = profile.orders[i]

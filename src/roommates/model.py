@@ -4,9 +4,9 @@ and witness orders (a linear order of the agents, such as an axis).
 Agents are plain non-negative ints.  A preference order ranks the agents
 its owner finds acceptable in tie groups, best group first; an agent may
 list itself.  It is stored flat: the members in rank order (ascending
-inside a tie group), the offset where each group starts, and a rank table
-built with the order; the frozenset ``groups`` are a view derived from
-that storage on request.  A profile bundles one order per agent, and its
+inside a tie group) and the offset where each group starts.  A rank table
+is built from those on its first read, and the frozenset ``groups`` are a
+view derived on request.  A profile bundles one order per agent, and its
 constructor is the one validity check: acceptability is symmetric and no
 order names an agent twice.  Nothing more is required, so an agent may
 rank nobody and the number of agents may be odd.
@@ -130,8 +130,9 @@ class PreferenceOrder(_Record):
     ``members`` lists the ranked agents group by group, ascending inside a
     tie group, and ``starts`` holds the offset in ``members`` where each
     group begins: a ``range`` when every group is a singleton, else a tuple.
-    ``ranks`` maps each member to its group's index and is built with the
-    order.  ``groups`` is a view derived on each call.
+    ``ranks`` maps each member to its group's index; it is built on first
+    read and kept, and takes no part in equality, hash, repr or pickling.
+    ``groups`` is a view derived on each call.
 
     Build orders with :meth:`from_groups`.  The constructor is the library's
     internal fast path: it trusts that ``starts`` are valid offsets and that
@@ -149,34 +150,31 @@ class PreferenceOrder(_Record):
 
     def __init__(self, owner: AgentId, members: tuple[AgentId, ...], starts: Sequence[int]):
         size = len(members)
-        numbers = _ints(size)
         if len(starts) == size:
             starts = range(size)
-            values: Iterable[int] = numbers
         else:
             # Between two tie groups every group is a singleton, so there
-            # both the offsets and the rank values are runs of consecutive
-            # numbers; each run is one slice, and only a tie group adds a
-            # repeated value.
-            count = len(starts)
+            # the offsets are a run of consecutive numbers: one slice each.
+            numbers = _ints(size)
             offsets: list[int] = []
-            values = []
             g = 0
             for t in _tie_groups(starts, size):
-                lo = starts[t]
-                hi = starts[t + 1] if t + 1 < count else size
-                offsets += numbers[lo - t + g:lo + 1]
-                values += numbers[g:t]
-                values += [numbers[t]] * (hi - lo)
+                offsets += numbers[starts[t] - t + g:starts[t] + 1]
                 g = t + 1
-            offsets += numbers[size - count + g:size]
-            values += numbers[g:count]
+            offsets += numbers[size - len(starts) + g:size]
             starts = tuple(offsets)
         set_field = object.__setattr__
         set_field(self, "owner", owner)
         set_field(self, "members", members)
         set_field(self, "starts", starts)
-        set_field(self, "ranks", dict(zip(members, values)))
+
+    def __getattr__(self, name: str) -> dict[AgentId, int]:
+        # Called only while the ``ranks`` slot is empty: build it on first read.
+        if name != "ranks":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        ranks = _rank_table(self)
+        object.__setattr__(self, "ranks", ranks)
+        return ranks
 
     @classmethod
     def from_groups(cls, owner: AgentId, raw: RawOrder) -> "PreferenceOrder":
@@ -231,6 +229,36 @@ class PreferenceOrder(_Record):
         return PreferenceOrder(self.owner, tuple(members), tuple(starts))
 
 
+def _rank_table(order: PreferenceOrder) -> dict[AgentId, int]:
+    """A new table from each member of ``order`` to its group's index.
+
+    Between two tie groups the values, taken from :func:`_ints`, are a run
+    of consecutive numbers: one slice each.
+    """
+    members, starts = order.members, order.starts
+    size, count = len(members), len(starts)
+    numbers = _ints(size)
+    if count == size:
+        return dict(zip(members, numbers))
+    values: list[int] = []
+    g = 0
+    for t in _tie_groups(starts, size):
+        hi = starts[t + 1] if t + 1 < count else size
+        values += numbers[g:t]
+        values += [numbers[t]] * (hi - starts[t])
+        g = t + 1
+    values += numbers[g:count]
+    return dict(zip(members, values))
+
+
+def _ranks_once(order: PreferenceOrder) -> dict[AgentId, int]:
+    """``order.ranks`` if already read, else the same table, built and not kept."""
+    try:
+        return PreferenceOrder.ranks.__get__(order)  # the slot alone: builds nothing
+    except AttributeError:
+        return _rank_table(order)
+
+
 class Profile(_Record):
     """A collection of preference orders, one per agent, keyed by owner.
 
@@ -247,7 +275,7 @@ class Profile(_Record):
     def __init__(self, orders: Mapping[AgentId, PreferenceOrder]):
         orders = dict(orders)
         for order in orders.values():
-            if len(order.ranks) != len(order.members):
+            if len(set(order.members)) != len(order.members):
                 seen: set[AgentId] = set()
                 for member in order.members:
                     if member in seen:
@@ -354,12 +382,12 @@ class WitnessOrder(_Record):
 def _check_symmetry(orders: Mapping[AgentId, PreferenceOrder]) -> None:
     """Raise AsymmetricAcceptability for the first one-sided pair in id order.
 
-    A profile in which every agent ranks every agent is symmetric, and one
-    key-set comparison per order confirms it.  Any other profile is
-    searched in sorted order.
+    ``orders`` name no agent twice.  A profile in which every agent ranks
+    every agent is symmetric, and one pass of lookups per order confirms
+    it.  Any other profile is searched in sorted order.
     """
-    everyone = orders.keys()
-    if all(order.ranks.keys() == everyone for order in orders.values()):
+    n, everyone = len(orders), set(orders)
+    if all(len(o.members) == n and everyone.issuperset(o.members) for o in orders.values()):
         return
     for i in sorted(orders):
         for j in sorted(orders[i].ranks):

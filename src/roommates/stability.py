@@ -35,7 +35,7 @@ byte; it keeps its sizes in a list and the pick takes their minimum.
 
 from __future__ import annotations
 
-from collections.abc import Collection
+from bisect import bisect_right
 from enum import Enum
 from operator import itemgetter
 
@@ -66,7 +66,7 @@ def check_matching(profile: Profile, matching: Matching) -> None:
     for a, b in matching.pairs:
         if a not in orders or b not in orders:
             raise ValueError(f"pair ({a}, {b}) mentions an agent outside the profile")
-        if b not in orders[a].ranks:
+        if b not in orders[a].members:
             raise ValueError(f"pair ({a}, {b}) is not mutually acceptable")
 
 
@@ -84,14 +84,14 @@ def find_blocking_pairs(profile: Profile, matching: Matching) -> list[BlockingPa
     # pair blocks iff each member lies in the other's set, so matched
     # partners (equal group) and one-sided crushes drop out without
     # scanning the full acceptability graph.
-    better: dict[AgentId, Collection[AgentId]] = {}
+    better: dict[AgentId, set[AgentId]] = {}
     for x in profile.agents:
         px = partner_of.get(x)
-        order = orders[x]
+        members, starts = orders[x].members, orders[x].starts
         if px is None:
-            better[x] = order.ranks
+            better[x] = set(members)
             continue
-        want = set(order.members[: order.starts[order.ranks[px]]])
+        want = set(members[: starts[bisect_right(starts, members.index(px)) - 1]])
         want.discard(x)
         better[x] = want
     blocking = []

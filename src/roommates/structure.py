@@ -21,12 +21,13 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from collections import defaultdict
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import combinations, groupby, pairwise, permutations
 from operator import add
 
 from .errors import BudgetExceeded, TieGroupTooLarge, TiesUnsupported, TooManyAgents
-from .model import AgentId, PreferenceOrder, Profile, WitnessOrder, _Record, _tie_groups
+from .model import (AgentId, PreferenceOrder, Profile, WitnessOrder, _Record, _ranks_once,
+                    _tie_groups)
 from .search import DEFAULT_SEARCH_BUDGET, depth_first
 
 OrderLike = "WitnessOrder | Sequence[AgentId]"
@@ -76,11 +77,11 @@ def _order_positions(profile: Profile, order: OrderLike) -> dict[AgentId, int]:
 def is_complete(profile: Profile) -> bool:
     """True when every agent ranks every other agent.
 
-    Every Profile has symmetric acceptability, so this is a length test.
+    In a Profile an order ranks only agents, none twice: a length test.
     """
     n = profile.n_agents
     return all(
-        len(order.ranks) + (i not in order.ranks) == n
+        len(order.members) + (i not in order.members) == n
         for i, order in profile.orders.items()
     )
 
@@ -121,11 +122,12 @@ def is_single_peaked_wrt(profile: Profile, order: OrderLike) -> Verdict:
     first best rank and never fall after it, so one ``min`` and two sorted
     comparisons per agent check it, each a run that sorts in linear time.
     An order that ranks every agent is read along the axis itself; any
-    other order is first sorted by axis position.
+    other order is first sorted by axis position.  Each order is read once,
+    so a rank table not yet built is built for this check and not kept.
     """
     pos = _order_positions(profile, order)
     for i in sorted(profile.orders):
-        ranks = profile.orders[i].ranks
+        ranks = _ranks_once(profile.orders[i])
         along = pos if len(ranks) == len(pos) else sorted(ranks, key=pos.__getitem__)
         seq = list(map(ranks.__getitem__, along))
         if not seq:
@@ -205,11 +207,9 @@ def _first_crossing_violation(
 
 
 def _kendall_domain(profile: Profile) -> bool:
-    """True when every voter ranks every agent, itself included."""
-    everyone = profile.agent_set
-    return bool(everyone) and all(
-        order.ranks.keys() == everyone for order in profile.orders.values()
-    )
+    """True when every voter ranks every agent, itself included (in a Profile, a length test)."""
+    n = profile.n_agents
+    return n > 0 and all(len(order.members) == n for order in profile.orders.values())
 
 
 def _along(profile: Profile, pos: dict[AgentId, int]) -> list[PreferenceOrder]:
@@ -299,7 +299,7 @@ def _discord(
 
 
 def _kendall_crossing_violation(
-    agents: tuple[AgentId, ...], voters: list[PreferenceOrder]
+    agents: tuple[AgentId, ...], voters: Iterable[PreferenceOrder]
 ) -> tuple[AgentId, AgentId] | None:
     """:func:`_first_crossing_violation` for voters, in axis order, ranking every agent.
 
@@ -309,15 +309,21 @@ def _kendall_crossing_violation(
     less.  Summing over the partners y of one agent x, x lies in a violating
     pair iff sum_t D_x(v_t, v_t+1) > D_x(v_1, v_n) (see :func:`_discord`).  The
     smallest such x is the first coordinate of the smallest violating pair,
-    and one pass over x's partners finds the second.
+    and one pass over x's partners finds the second.  Voters are read one
+    at a time: beyond the first and the last, only their keys are kept.
     """
     n = len(agents)
     index = {a: k for k, a in enumerate(agents)}
     odd = list(range(1, 2 * n, 2))
-    keys = [_doubled_midranks(order, index, odd) for order in voters]
-    excess = [-d for d in _discord(voters[0], index, keys[0], keys[-1])]
-    for order, ku, kv in zip(voters, keys, keys[1:]):
-        excess = [e + d for e, d in zip(excess, _discord(order, index, ku, kv))]
+    voters = iter(voters)
+    first = last = next(voters)
+    keys = [_doubled_midranks(first, index, odd)]
+    excess = [0] * n
+    for order in voters:
+        keys.append(_doubled_midranks(order, index, odd))
+        excess = [e + d for e, d in zip(excess, _discord(last, index, keys[-2], keys[-1]))]
+        last = order
+    excess = [e - d for e, d in zip(excess, _discord(first, index, keys[0], keys[-1]))]
     x = next((x for x, e in enumerate(excess) if e > 0), None)
     if x is None:
         return None
@@ -441,9 +447,10 @@ def is_sc_wrt(
     return _sc_exact(profile, pos, budget)
 
 
-def _resolve_ties(voters: list[PreferenceOrder]) -> list[PreferenceOrder]:
+def _resolve_ties(voters: list[PreferenceOrder]) -> Iterator[PreferenceOrder]:
     """Strict extensions of ``voters`` (in axis order, each ranking every
-    agent) that are single-crossing if any extensions are.
+    agent) that are single-crossing if any extensions are, yielded in axis
+    order as they are made, so a caller keeps only what it needs of each.
 
     Backward, each voter breaks its ties by its successor's resolved order
     (the last voter by id); this sorts the first voter's tie groups by the
@@ -465,10 +472,10 @@ def _resolve_ties(voters: list[PreferenceOrder]) -> list[PreferenceOrder]:
     resolved = voters[-1]
     for order in reversed(voters):
         resolved = _broken_by(order, resolved.ranks)
-    out = [resolved]
+    yield resolved
     for order in voters[1:]:
-        out.append(_broken_by(order, out[-1].ranks))
-    return out
+        resolved = _broken_by(order, resolved.ranks)
+        yield resolved
 
 
 def _broken_by(order: PreferenceOrder, ranks: dict[AgentId, int]) -> PreferenceOrder:
@@ -708,8 +715,10 @@ def property_report(
     single_peaked = tssc = None
     single_crossing: bool | None = None
     if order is not None:
-        single_peaked = is_single_peaked_wrt(profile, order)
+        # The crossing check keeps each order's rank table, so the
+        # single-peaked check after it builds none of its own.
         tssc = is_tssc_wrt(profile, order)
+        single_peaked = is_single_peaked_wrt(profile, order)
         try:
             single_crossing = is_sc_wrt(profile, order, tssc=tssc, budget=budget)
         except (TieGroupTooLarge, BudgetExceeded) as exc:

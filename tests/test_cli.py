@@ -314,6 +314,16 @@ def test_verify_flags_unmatched_blockers(workdir):
         assert line.endswith("unmatched unmatched")
 
 
+def test_verify_rejects_a_pair_that_is_not_mutually_acceptable(workdir):
+    (workdir / "two.prof").write_text(
+        "agents 4\npref 0: 0 | 1\npref 1: 1 | 0\npref 2: 2 | 3\npref 3: 3 | 2\n"
+    )
+    (workdir / "apart.match").write_text("pair 0 2\n")
+    result = run("verify", "two.prof", "apart.match", cwd=workdir)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == "error: ValueError: pair (0, 2) is not mutually acceptable\n"
+
+
 def test_verify_rejects_foreign_agents(workdir):
     (workdir / "alien.match").write_text("pair 0 9\n")
     result = run("verify", "example1.prof", "alien.match", cwd=workdir)

@@ -13,6 +13,7 @@ from roommates import (
     FIXTURE_NAMES,
     AsymmetricAcceptability,
     BetweennessInstance,
+    DuplicateInOrder,
     GeneratorConfig,
     Graph,
     Matching,
@@ -143,6 +144,48 @@ def test_parsed_orders_hold_at_most_120_bytes_per_entry():
         tracemalloc.stop()
     assert parsed.n_agents == 200
     assert live / entries <= 120
+
+
+def test_parsed_orders_hold_at_most_24_bytes_per_entry():
+    # The members tuple takes 8 bytes per entry; a rank table built with
+    # every order would add about 46.
+    profile, _ = gen_narcissistic_sp(GeneratorConfig(200, True, 0.5, 3))
+    text = serialize_profile(profile)
+    entries = sum(len(order.members) for order in profile.orders.values())
+    del profile
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        parsed = parse_profile(text)
+        live = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert parsed.n_agents == 200
+    assert live / entries <= 24
+
+
+# Each line names an agent twice across groups (agent 0's "1 1" merges), or
+# leaves a pair one-sided.
+@pytest.mark.parametrize("text, error, fields, message", [
+    ("agents 3\npref 0: 0 | 2 1 1 | 2\npref 1: 1 | 0\npref 2: 2 | 0\n",
+     DuplicateInOrder, {"agent": 0, "duplicate": 2},
+     "agent 2 appears twice in the order of agent 0"),
+    ("agents 3\npref 0: 0 | 1 | 2 | 1\npref 1: 1 | 0\npref 2: 2 | 0\n",
+     DuplicateInOrder, {"agent": 0, "duplicate": 1},
+     "agent 1 appears twice in the order of agent 0"),
+    ("agents 3\npref 0: 1 2 | 0 1\npref 1: 1 | 0\npref 2: 2 | 0\n",
+     DuplicateInOrder, {"agent": 0, "duplicate": 1},
+     "agent 1 appears twice in the order of agent 0"),
+    ("agents 3\npref 0: 0 | 1 | 2\npref 1: 1 | 0\npref 2: 2\n",
+     AsymmetricAcceptability, {"i": 0, "j": 2},
+     "agent 0 ranks agent 2, but 2 does not rank 0"),
+])
+def test_invalid_orders_raise_the_frozen_error(text, error, fields, message):
+    with pytest.raises(error) as info:
+        parse_profile(text)
+    assert type(info.value) is error
+    assert vars(info.value) == fields
+    assert info.value.args == (message,)
 
 
 def test_any_integer_spelling_reads_as_its_value():

@@ -28,14 +28,18 @@ from roommates import (
     WitnessOrder,
     break_ties_fixed,
     build_profile,
+    find_blocking_pairs,
     fixture,
+    gen_narcissistic_sp,
+    greedy_solve,
     independent_set_to_sr,
     most_acceptable_set,
+    parse_profile,
     restrict,
     serialize_profile,
 )
 
-from roommates import model
+from roommates import model, structure
 
 from oracles import most_acceptable_by_scan, mutually_acceptable_pairs, random_profile
 
@@ -78,6 +82,15 @@ def test_direct_construction_rejects_a_duplicate_member():
             1: PreferenceOrder.from_groups(1, [[1], [0]]),
         })
     assert (info.value.agent, info.value.duplicate) == (0, 1)
+    assert info.value.args == ("agent 1 appears twice in the order of agent 0",)
+    # Duplicates are found before a one-sided pair, even in an order of full length.
+    with pytest.raises(DuplicateInOrder) as info:
+        Profile({
+            0: PreferenceOrder.from_groups(0, [[0], [1]]),
+            1: PreferenceOrder(1, (1, 1, 2), (0, 1, 2)),
+            2: PreferenceOrder.from_groups(2, [[2]]),
+        })
+    assert (info.value.agent, info.value.duplicate) == (1, 1)
 
 
 def test_profile_keeps_its_own_copy_of_the_orders():
@@ -173,6 +186,64 @@ def test_tied_orders_share_their_offsets_and_ranks():
         if order.has_tie:
             assert all(s is shared[s] for s in order.starts)
             assert all(r is shared[r] for r in order.ranks.values())
+
+
+# ---------------------------------------------------------------------------
+# The rank table, built on first read
+# ---------------------------------------------------------------------------
+
+def _has_table(order: PreferenceOrder) -> bool:
+    """Whether ``order`` holds its rank table, read without building it."""
+    try:
+        PreferenceOrder.ranks.__get__(order)
+    except AttributeError:
+        return False
+    return True
+
+
+def _first_read_gives(order: PreferenceOrder, groups: list[list[int]]) -> None:
+    ranks = order.ranks
+    assert ranks == {m: g for g, group in enumerate(groups) for m in group}
+    shared = model._ints(len(order.members))
+    assert all(r is shared[r] for r in ranks.values())
+    assert order.ranks is ranks
+
+
+def test_the_rank_table_read_first_after_any_construction_is_right():
+    rng = random.Random(14)
+    for n in (1, 2, 7, 300):
+        for shape in SHAPES + ["random"] * 3:
+            groups = _random_groups(rng, n, shape)
+            order = PreferenceOrder.from_groups(0, groups)
+            _first_read_gives(order, groups)
+            _first_read_gives(pickle.loads(pickle.dumps(order)), groups)
+            _first_read_gives(copy.deepcopy(order), groups)
+            removed = set(rng.sample(range(n), n // 3))
+            kept = [[m for m in g if m not in removed] for g in groups]
+            _first_read_gives(order.without(removed), [g for g in kept if g])
+            key = {m: rng.random() for m in range(n)}
+            broken = structure._broken_by(PreferenceOrder.from_groups(0, groups), key)
+            _first_read_gives(broken, [[m] for g in groups for m in sorted(g, key=key.get)])
+
+
+def test_the_rank_table_is_not_pickled():
+    order = PreferenceOrder.from_groups(0, [[0], [1, 2], [3]])
+    before = [pickle.dumps(order, protocol) for protocol in (0, pickle.HIGHEST_PROTOCOL)]
+    order.ranks
+    assert [pickle.dumps(order, protocol) for protocol in (0, pickle.HIGHEST_PROTOCOL)] == before
+
+
+def test_generating_a_profile_builds_no_rank_table():
+    profile, _ = gen_narcissistic_sp(GeneratorConfig(200, True, 0.5, 3))
+    assert not any(map(_has_table, profile.orders.values()))
+
+
+def test_parsing_solving_and_verifying_build_no_rank_table():
+    profile, _ = gen_narcissistic_sp(GeneratorConfig(200, True, 0.5, 3))
+    parsed = parse_profile(serialize_profile(profile))
+    matching, _ = greedy_solve(parsed)
+    assert find_blocking_pairs(parsed, matching) == []
+    assert not any(map(_has_table, parsed.orders.values()))
 
 
 # ---------------------------------------------------------------------------

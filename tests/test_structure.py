@@ -199,8 +199,8 @@ def test_tssc_matches_the_definition_on_random_profiles():
         assert verdict.witness == first_tssc_violation_by_definition(profile, order)
 
 
-def _tssc_peak_bytes(profile, axis) -> int:
-    """tracemalloc peak of a passing is_tssc_wrt call."""
+def _peak_bytes(check, profile, axis):
+    """``check(profile, axis)`` and its tracemalloc peak."""
     for order in profile.orders.values():
         order.ranks  # warm the cached rank tables outside the trace
     # CPython reuses up to 2000 freed 2-tuples without calling the
@@ -209,11 +209,17 @@ def _tssc_peak_bytes(profile, axis) -> int:
     held = [(i, -i) for i in range(4000)]
     tracemalloc.start()
     try:
-        assert is_tssc_wrt(profile, axis).ok
-        return tracemalloc.get_traced_memory()[1]
+        return check(profile, axis), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
         del held
+
+
+def _tssc_peak_bytes(profile, axis) -> int:
+    """tracemalloc peak of a passing is_tssc_wrt call."""
+    verdict, peak = _peak_bytes(is_tssc_wrt, profile, axis)
+    assert verdict.ok
+    return peak
 
 
 def _sp_profile(n):
@@ -243,6 +249,18 @@ def test_tssc_memory_grows_with_the_pairs_not_the_voter_pair_table():
     # relation would grow as n^3 (8x).
     peaks = [_tssc_peak_bytes(*_sp_profile(n)) for n in (50, 100)]
     assert peaks[1] <= 5 * peaks[0]
+
+
+def test_resolving_ties_keeps_no_table_per_voter():
+    # On a tied swapped axis is_sc_wrt resolves every voter's ties.  The
+    # resolved orders are read one at a time and only their keys are kept,
+    # so its peak stays below that of is_tssc_wrt, which keeps the same keys.
+    profile, axis = _sp_profile(200)
+    order = _adjacent_swap(axis, 100)
+    tssc, tssc_peak = _peak_bytes(is_tssc_wrt, profile, order)
+    crossing, peak = _peak_bytes(is_sc_wrt, profile, order)
+    assert not tssc.ok and has_ties(profile) and crossing is False
+    assert peak <= tssc_peak
 
 
 def test_tssc_scan_memory_grows_with_the_pairs_on_incomplete_profiles():
