@@ -147,7 +147,7 @@ def _print_matching(matching: Matching) -> None:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     profile = formats.parse_profile(_read(args.profile))
-    if args.algorithm in ("greedy", "bt"):
+    if args.algorithm == "greedy":
         try:
             matching, trace = _cli.greedy_solve(profile)
         except NoMutualPair as exc:
@@ -295,9 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("profile")
     p.add_argument(
         "--algorithm",
-        choices=["greedy", "bt", "brute"],
+        choices=["greedy", "brute"],
         default="greedy",
-        help="greedy top-pair elimination (bt is an alias) or brute search",
+        help="greedy top-pair elimination or brute search",
     )
     p.add_argument("--budget", type=int, help="search-node budget for brute")
     p.add_argument("--trace", action="store_true", help="print greedy rounds")

@@ -57,16 +57,12 @@ class Graph(_Record):
     def degree(self, v: int) -> int:
         return len(self.neighbors[v])
 
-    @property
-    def max_degree(self) -> int:
-        return max((len(ns) for ns in self.neighbors.values()), default=0)
 
-
-def check_degree_cap(graph: Graph, cap: int = MAX_DEGREE) -> None:
-    """Raise DegreeTooHigh naming the smallest vertex over the cap."""
+def check_degree_cap(graph: Graph) -> None:
+    """Raise DegreeTooHigh naming the smallest vertex over MAX_DEGREE."""
     for v in range(graph.n_vertices):
-        if graph.degree(v) > cap:
-            raise DegreeTooHigh(v, graph.degree(v), cap)
+        if graph.degree(v) > MAX_DEGREE:
+            raise DegreeTooHigh(v, graph.degree(v), MAX_DEGREE)
 
 
 class EdgeColoring(_Record):
@@ -75,10 +71,6 @@ class EdgeColoring(_Record):
     _fields = ("classes",)
 
     classes: tuple[tuple[Edge, ...], ...]
-
-    @cached_property
-    def color_of(self) -> dict[Edge, int]:
-        return {e: c for c, cls in enumerate(self.classes) for e in cls}
 
     def is_proper_for(self, graph: Graph) -> bool:
         """Every edge colored exactly once, classes vertex-disjoint."""

@@ -68,10 +68,9 @@ class TooManyAgents(RoommatesError):
 class TiesUnsupported(RoommatesError):
     """The requested check is only defined for profiles without ties."""
 
-    def __init__(self, agent: int | None = None):
+    def __init__(self, agent: int):
         self.agent = agent
-        detail = f" (agent {agent} has a tie)" if agent is not None else ""
-        super().__init__(f"this check requires a profile without ties{detail}")
+        super().__init__(f"this check requires a profile without ties (agent {agent} has a tie)")
 
 
 class NotComplete(RoommatesError):
@@ -107,7 +106,7 @@ class NoMutualPair(RoommatesError):
 class DegreeTooHigh(RoommatesError):
     """The input graph has a vertex of degree above the supported maximum."""
 
-    def __init__(self, vertex: int, degree: int, limit: int = 3):
+    def __init__(self, vertex: int, degree: int, limit: int):
         self.vertex, self.degree, self.limit = vertex, degree, limit
         super().__init__(f"vertex {vertex} has degree {degree}, but at most {limit} is supported")
 

@@ -31,9 +31,6 @@ class SolveTrace(_Record):
 
     rounds: tuple[tuple[Pair, int], ...]
 
-    def __len__(self) -> int:
-        return len(self.rounds)
-
     @property
     def pairs(self) -> tuple[Pair, ...]:
         return tuple(pair for pair, _ in self.rounds)

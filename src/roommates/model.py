@@ -288,10 +288,6 @@ class Profile(_Record):
     def agents(self) -> tuple[AgentId, ...]:
         return tuple(sorted(self.orders))
 
-    @cached_property
-    def agent_set(self) -> frozenset[AgentId]:
-        return frozenset(self.orders)
-
     @property
     def n_agents(self) -> int:
         return len(self.orders)
@@ -337,10 +333,6 @@ class Matching(_Record):
             partners[b] = a
         return partners
 
-    @cached_property
-    def matched_agents(self) -> frozenset[AgentId]:
-        return frozenset(self.partner_map)
-
     def partner(self, x: AgentId) -> AgentId | None:
         """Partner of ``x``, or None when ``x`` is unmatched."""
         return self.partner_map.get(x)
@@ -365,14 +357,8 @@ class WitnessOrder(_Record):
             raise ValueError("a witness order must not repeat agents")
         object.__setattr__(self, "sequence", seq)
 
-    def reversed(self) -> "WitnessOrder":
-        return WitnessOrder(self.sequence[::-1])
-
     def __iter__(self):
         return iter(self.sequence)
-
-    def __len__(self) -> int:
-        return len(self.sequence)
 
 
 # ---------------------------------------------------------------------------
@@ -384,17 +370,30 @@ def _check_symmetry(orders: Mapping[AgentId, PreferenceOrder]) -> None:
 
     ``orders`` name no agent twice.  A profile in which every agent ranks
     every agent is symmetric, and one pass of lookups per order confirms
-    it.  Any other profile is searched in sorted order.
+    it.  In any other, each agent must rank exactly the agents of lower id
+    that rank it, which needs no rank table.
     """
     n, everyone = len(orders), set(orders)
     if all(len(o.members) == n and everyone.issuperset(o.members) for o in orders.values()):
         return
-    for i in sorted(orders):
-        for j in sorted(orders[i].ranks):
-            if j == i:
-                continue
-            if j not in orders or i not in orders[j].ranks:
-                raise AsymmetricAcceptability(i, j)
+    from array import array  # an extension module: complete profiles never load it
+    owners = sorted(orders)
+    index = {i: k for k, i in enumerate(owners)}
+    # lower[k]: the agents of lower id that rank owners[k], as positions in owners.
+    lower = [array("i") for _ in owners]
+    for k, i in enumerate(owners):
+        for j in orders[i].members:
+            if j > i and j in index:
+                lower[index[j]].append(k)
+    if all(
+        everyone.issuperset(orders[i].members)
+        and lower[k] == array("i", sorted([index[j] for j in orders[i].members if j < i]))
+        for k, i in enumerate(owners)
+    ):
+        return
+    ranked = {i: set(orders[i].members) for i in owners}
+    one_sided = [(i, j) for i in owners for j in orders[i].members if i not in ranked.get(j, ())]
+    raise AsymmetricAcceptability(*min(one_sided))
 
 
 def build_profile(orders: Mapping[AgentId, RawOrder]) -> Profile:
@@ -430,7 +429,7 @@ def restrict(profile: Profile, removed: Iterable[AgentId]) -> Profile:
     agents exist.
     """
     gone = frozenset(removed)
-    unknown = gone - profile.agent_set
+    unknown = gone - profile.orders.keys()
     if unknown:
         raise ValueError(f"cannot remove unknown agents: {sorted(unknown)}")
     kept_orders = {

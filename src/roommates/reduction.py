@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 
-from .coloring import Graph, check_degree_cap, misra_gries_edge_coloring
+from .coloring import Graph, misra_gries_edge_coloring
 from .errors import (
     InternalInvariantViolation,
     KOutOfRange,
@@ -166,7 +166,6 @@ def independent_set_to_sr(graph: Graph, k: int) -> ReducedInstance:
     n = graph.n_vertices
     if not 1 <= k <= n:
         raise KOutOfRange(k, n)
-    check_degree_cap(graph)
     coloring = misra_gries_edge_coloring(graph)
 
     vertex_agents = tuple(

@@ -123,7 +123,7 @@ def is_stable(profile: Profile, matching: Matching) -> bool:
 
 def is_perfect(profile: Profile, matching: Matching) -> bool:
     """True when every agent of the profile is matched."""
-    return matching.matched_agents == profile.agent_set
+    return matching.partner_map.keys() == profile.orders.keys()
 
 
 # ---------------------------------------------------------------------------
@@ -157,19 +157,6 @@ class _StableSearch:
                 own = order.ranks[a]
                 starts[own + 1:] = [s - 1 for s in starts[own + 1:]]
             self.below.append([*starts, starts[-1]])
-        # span[i]: the id range [lo, hi) within two links of agent i, which
-        # bounds the sizes a decision on i can change.  Acceptability is
-        # symmetric, so the one-link ranges of i's neighbors cover i too.
-        ids = [[q for q, _ in links] for links in self.links]
-        near_lo = [min([i, *nbrs]) for i, nbrs in enumerate(ids)]
-        near_hi = [max([i, *nbrs]) for i, nbrs in enumerate(ids)]
-        self.span = [
-            (
-                min(map(near_lo.__getitem__, nbrs), default=i),
-                max(map(near_hi.__getitem__, nbrs), default=i) + 1,
-            )
-            for i, nbrs in enumerate(ids)
-        ]
         # pair[i][q] for q > i: the one (agent i, agent q) tuple that every
         # leaf holding that pair shares, made by the first such leaf.
         self.pair: list[dict[int, tuple[AgentId, AgentId]]] = [{} for _ in range(m)]
@@ -204,18 +191,13 @@ class _StableSearch:
         partner (above staying single: every neighbor) must end up matched
         at least as well as it ranks that agent.  Sizes follow every option
         that dies; one decision can kill many, so the trail keeps a copy of
-        the part of the size array it can reach rather than an entry per
-        change.
+        the whole size array rather than an entry per change.
         """
         members = (x, q) if q >= 0 else (x,)
         links = self.links
         maxrank, size, can_unmatch = self.maxrank, self.size, self.can_unmatch
         below = self.below
-        lo, hi = self.span[x]
-        if q >= 0:
-            q_lo, q_hi = self.span[q]
-            lo, hi = (lo if lo < q_lo else q_lo), (hi if hi > q_hi else q_hi)
-        trail: list[tuple[object, object, object]] = [(size, slice(lo, hi), size[lo:hi])]
+        trail: list[tuple[object, object, object]] = [(size, slice(None), size[:])]
         reach = []  # per member, the neighbors within its threshold
         for a in members:
             old = maxrank[a]

@@ -65,7 +65,7 @@ class PropertyReport(_Record):
 def _order_positions(profile: Profile, order: OrderLike) -> dict[AgentId, int]:
     """Positions of a witness order, checked to be a permutation of the agents."""
     seq = tuple(order.sequence if isinstance(order, WitnessOrder) else order)
-    if len(seq) != len(set(seq)) or set(seq) != set(profile.agent_set):
+    if len(seq) != len(set(seq)) or set(seq) != profile.orders.keys():
         raise ValueError("order must be a permutation of the profile's agents")
     return {a: p for p, a in enumerate(seq)}
 
@@ -437,7 +437,7 @@ def is_sc_wrt(
     if _kendall_domain(profile):
         voters = _resolve_ties(_along(profile, pos))
         return _kendall_crossing_violation(profile.agents, voters) is None
-    tiebroken = break_ties_fixed(profile, WitnessOrder(sorted(profile.agent_set)))
+    tiebroken = break_ties_fixed(profile, WitnessOrder(profile.agents))
     if _first_crossing_violation(tiebroken, pos) is None:
         return True
     for i in sorted(profile.orders):

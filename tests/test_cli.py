@@ -244,10 +244,10 @@ def sha1(text: str) -> str:
     return hashlib.sha1(text.encode()).hexdigest()
 
 
-def test_solve_bt_is_an_alias_for_greedy(workdir):
-    greedy = run("solve", "example1.prof", "--algorithm", "greedy", cwd=workdir)
-    bt = run("solve", "example1.prof", "--algorithm", "bt", cwd=workdir)
-    assert bt.stdout == greedy.stdout and bt.returncode == 0
+def test_solve_rejects_the_old_bt_spelling(workdir):
+    result = run("solve", "example1.prof", "--algorithm", "bt", cwd=workdir)
+    assert result.returncode == 2 and result.stdout == ""
+    assert "invalid choice: 'bt'" in result.stderr
 
 
 def test_solve_brute_finds_and_reports(workdir):

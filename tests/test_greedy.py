@@ -67,7 +67,7 @@ def test_solves_the_tied_example_with_its_trace():
     assert matching.pairs == ((0, 3), (1, 2))
     assert trace.rounds == (((1, 2), 2), ((0, 3), 0))
     assert trace.pairs == ((1, 2), (0, 3))
-    assert len(trace) == 2
+    assert len(trace.rounds) == 2
 
 
 def test_solves_the_strict_crossing_example():
@@ -75,7 +75,7 @@ def test_solves_the_strict_crossing_example():
     matching, trace = greedy_solve(profile)
     assert matching.pairs == ((0, 3), (1, 2))
     assert is_stable(profile, matching)
-    assert len(trace) == 2
+    assert len(trace.rounds) == 2
 
 
 def test_empty_profile_gives_empty_result():
@@ -131,7 +131,7 @@ def test_generated_profiles_always_solve_stably():
         profile, _ = gen_narcissistic_sp(config)
         matching, trace = greedy_solve(profile)
         assert is_stable(profile, matching)
-        assert len(trace) == n // 2
+        assert len(trace.rounds) == n // 2
         remaining = [left for _, left in trace.rounds]
         assert remaining == list(range(n - 2, -1, -2))
 

@@ -61,6 +61,34 @@ def test_asymmetric_acceptability_is_rejected():
     assert (info.value.i, info.value.j) in {(0, 1), (1, 0)}
 
 
+def test_the_first_one_sided_pair_in_id_order_is_named():
+    rng = random.Random(7)
+    for _ in range(300):
+        base = random_profile(rng, rng.randint(2, 8), p_edge=rng.random())
+        orders = dict(base.orders)
+        for _ in range(rng.randint(0, 3)):
+            i = rng.choice(sorted(orders))
+            j = rng.randrange(10)  # may be an agent outside the profile
+            if j in orders[i].members:
+                orders[i] = orders[i].without({j})
+            else:
+                orders[i] = PreferenceOrder.from_groups(
+                    i, [*orders[i].group_slices(), [j]]
+                )
+        one_sided = [
+            (i, j)
+            for i in sorted(orders)
+            for j in sorted(orders[i].members)
+            if j != i and (j not in orders or i not in orders[j].members)
+        ]
+        if not one_sided:
+            assert Profile(orders).orders == orders
+            continue
+        with pytest.raises(AsymmetricAcceptability) as info:
+            Profile(orders)
+        assert (info.value.i, info.value.j) == one_sided[0]
+
+
 def test_duplicate_entry_in_an_order_is_rejected():
     with pytest.raises(DuplicateInOrder):
         build_profile({0: [[0], [1], [1]], 1: [[1], [0]]})
@@ -244,6 +272,14 @@ def test_parsing_solving_and_verifying_build_no_rank_table():
     matching, _ = greedy_solve(parsed)
     assert find_blocking_pairs(parsed, matching) == []
     assert not any(map(_has_table, parsed.orders.values()))
+    # Incomplete: the pair 0-1, unmatched here, deleted from both orders.
+    assert matching.partner(0) != 1
+    orders = dict(profile.orders)
+    orders[0], orders[1] = orders[0].without({1}), orders[1].without({0})
+    cut = Profile(orders)
+    parsed = parse_profile(serialize_profile(cut))
+    assert find_blocking_pairs(parsed, matching) == find_blocking_pairs(cut, matching)
+    assert not any(map(_has_table, [*cut.orders.values(), *parsed.orders.values()]))
 
 
 # ---------------------------------------------------------------------------

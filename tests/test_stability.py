@@ -316,6 +316,47 @@ def test_sizes_are_checked_at_every_node_on_both_sides_of_a_byte(n, wide):
         assert found and is_stable(profile, found[0])
 
 
+class RestoreCheckedSearch(stability._StableSearch):
+    """The search, checking that every finished frame leaves the state it found."""
+
+    frames = 0
+
+    def state(self):
+        return list(self.size), self.maxrank[:], self.can_unmatch[:]
+
+    def _frame(self, first_only, undecided):
+        before = self.state()
+        yield from super()._frame(first_only, undecided)
+        assert self.state() == before
+        RestoreCheckedSearch.frames += 1
+
+
+@pytest.mark.parametrize(
+    "make, wide, budget, frames",
+    [
+        # No stable matching: all 44,811 nodes and the root finish.
+        (lambda: independent_set_to_sr(gen_degree3_graph(10, 0.4, seed=1), 5).profile,
+         False, None, 44_812),
+        (lambda: parse_profile(path_profile_text(2400)), False, None, 2_401),
+        # Too large a tree to finish, so the search stops at the budget.
+        (lambda: hub_path_profile(random.Random(1), 260, 2), True, 3_000, 2_800),
+    ],
+    ids=["is2sr", "path", "hub"],
+)
+def test_the_search_restores_its_state_after_each_branch(make, wide, budget, frames):
+    search = RestoreCheckedSearch(make())
+    assert search.wide is wide
+    before = search.state()
+    RestoreCheckedSearch.frames = 0
+    if budget is None:
+        search.run(budget=10**6)
+        assert search.state() == before
+    else:
+        with pytest.raises(BudgetExceeded):
+            search.run(budget=budget)
+    assert RestoreCheckedSearch.frames >= frames
+
+
 def test_enumerate_stores_at_most_24_bytes_per_pair():
     # Every leaf shares the search's one tuple per acceptable pair.
     profile = independent_set_to_sr(gen_degree3_graph(9, 0.4, seed=2), 4).profile
