@@ -17,7 +17,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .errors import ParseError
-from .model import AgentId, Matching, PreferenceOrder, Profile, WitnessOrder, _tie_groups
+from .model import (AgentId, Matching, PreferenceOrder, Profile, WitnessOrder, _ints, _offsets,
+                    _tie_groups)
 
 if TYPE_CHECKING:
     from .coloring import Graph
@@ -62,8 +63,10 @@ def parse_profile(text: str) -> Profile:
     Linear in the size of the text.  When there are exactly N ``pref``
     lines, each line is split at `` | `` and every whole chunk is looked up
     in a table of the canonical ids ``"0"..."N-1"``: a singleton group costs
-    one lookup, and only a chunk the table misses, such as a tie group, is
-    split into its members.  A line with a missed chunk that is not
+    one lookup, and only a chunk that holds a space, a tie group, is split
+    into its members.  Past that split and lookup, a line costs one set of
+    its members and no Python work per entry: its offsets are slices of
+    the ints every order shares.  A line with a missed chunk that is not
     canonical ids joined by single spaces, or with an agent named twice,
     and every line of a file with another count, is read token by token
     instead, which accepts any spacing and integer spelling and raises the
@@ -76,14 +79,16 @@ def parse_profile(text: str) -> Profile:
     n = _count_line(body, line_no, "agents")
     table: dict[str, AgentId] = {}
     if len(lines) - 1 == n:
-        table = dict(zip(map(str, range(n)), range(n)))
+        # The shared ints: an order's owner and the members it ranks are
+        # then the same objects, so comparing sets of agents is cheaper.
+        table = dict(zip(map(str, range(n)), _ints(n)))
     orders: dict[AgentId, PreferenceOrder | list[list[AgentId]]] = {}
     for line_no, body in lines[1:]:
         head, sep, tail = body.partition(":")
         tokens = head.split()
         if len(tokens) != 2 or tokens[0] != "pref" or not sep:
             raise ParseError("expected 'pref <id>: ...'", line_no)
-        agent = _int(tokens[1], line_no)
+        agent = table[tokens[1]] if tokens[1] in table else _int(tokens[1], line_no)
         if not 0 <= agent < n:
             raise ParseError(f"agent {agent} outside 0..{n - 1}", line_no)
         if agent in orders:
@@ -106,33 +111,34 @@ def _flat_order(
     """The order a ``pref`` line's right-hand side spells, or None.
 
     ``table`` maps each canonical id.  Only the chunks between `` | `` that
-    the table misses are split into members.  None means the line needs
-    :func:`_raw_groups`: a missed chunk that is not canonical ids joined by
-    single spaces, or an agent named twice.
+    hold a space, the tie groups, are split into members, and each fills
+    its chunk's place in the looked-up list.  None means the line needs
+    :func:`_raw_groups`: a chunk the table misses that is not canonical ids
+    joined by single spaces, or an agent named twice.  One set of the
+    members answers both.
     """
-    chunks = tail.strip().split(" | ")
-    values = list(map(table.get, chunks))
-    size = len(values)
-    if None not in values:
-        order = PreferenceOrder(agent, tuple(values), range(size))
-    else:
-        values.append(None)  # ends the last scan
-        members: list[AgentId] = []
-        starts: list[int] = []
-        lo = 0
-        while lo < size:
-            hit = values.index(None, lo)
-            starts += range(len(members), len(members) + hit - lo)
-            members += values[lo:hit]
-            if hit < size:
-                group = list(map(table.get, chunks[hit].split(" ")))
-                if None in group:
-                    return None
-                starts.append(len(members))
-                members += sorted(group)
-            lo = hit + 1
-        order = PreferenceOrder(agent, tuple(members), starts)
-    return order if len(set(order.members)) == len(order.members) else None
+    body = tail.strip()
+    chunks = body.split(" | ")
+    members = list(map(table.get, chunks))
+    ties: list[int] = []
+    # The spaces left once the separators are counted out lie inside tie
+    # groups, and each tie group is a chunk the table misses.
+    spaces = body.count(" ") - 2 * len(chunks) + 2
+    at = -1
+    while spaces > 0:
+        at = members.index(None, at + 1)
+        group = list(map(table.get, chunks[at + len(chunks) - len(members)].split(" ")))
+        if None in group:
+            return None
+        group.sort()
+        members[at:at + 1] = group
+        ties += (at, at + len(group))
+        at += len(group) - 1
+        spaces -= len(group) - 1
+    ranked = set(members)
+    if None in ranked or len(ranked) != len(members):
+        return None
+    return PreferenceOrder(agent, tuple(members), _offsets(ties, len(members)))
 
 
 def _raw_groups(tail: str, n: int, line_no: int) -> list[list[AgentId]]:

@@ -14,7 +14,8 @@ import random
 from typing import TYPE_CHECKING
 
 from .errors import InternalInvariantViolation, UnknownFixture
-from .model import AgentId, PreferenceOrder, Profile, WitnessOrder, _Record, build_profile
+from .model import (AgentId, PreferenceOrder, Profile, WitnessOrder, _ints, _offsets, _Record,
+                    build_profile)
 from .structure import is_single_peaked_wrt
 
 if TYPE_CHECKING:
@@ -128,46 +129,44 @@ def gen_narcissistic_sp(config: GeneratorConfig) -> tuple[Profile, WitnessOrder]
     rng = random.Random(config.seed)
     n = config.n_agents
     positions = rng.sample(range(10 * n), n)
-    axis = sorted(range(n), key=positions.__getitem__)
+    # The agents are the shared ints, so the profile check compares each
+    # order's members with the agents by identity.
+    agents = _ints(n)[:n]
+    axis = sorted(agents, key=positions.__getitem__)
     place = [0] * n
     for p, a in enumerate(axis):
         place[a] = p
 
     # Each agent walks outward along the axis, taking the nearer neighbor
     # first, so the rng draws for equidistant pairs come in the order of
-    # increasing distance, agent by agent.
+    # increasing distance, agent by agent.  Once one side runs out the rest
+    # of the other follows in axis order, with no draw.
+    coords = sorted(positions)  # coords[p]: the position of axis[p]
     orders: dict[AgentId, PreferenceOrder] = {}
-    for i in range(n):
-        here = positions[i]
+    for i in agents:
+        twice = 2 * positions[i]
         left, right = place[i] - 1, place[i] + 1
-        members = [axis[place[i]]]
-        starts = [0]
-        while left >= 0 or right < n:
-            if right == n:
-                gap = -1
-            elif left < 0:
-                gap = 1
-            else:
-                gap = (here - positions[axis[left]]) - (positions[axis[right]] - here)
+        members = [i]
+        ties: list[int] = []  # start and end of each kept tie in members
+        while left >= 0 and right < n:
+            gap = twice - coords[left] - coords[right]
             if gap < 0:
-                starts.append(len(members))
                 members.append(axis[left])
                 left -= 1
             elif gap > 0:
-                starts.append(len(members))
                 members.append(axis[right])
                 right += 1
             else:
                 a, b = axis[left], axis[right]
-                starts.append(len(members))
                 if config.allow_ties and rng.random() < config.tie_probability:
+                    ties += (len(members), len(members) + 2)
                     members += sorted((a, b))
                 else:
-                    starts.append(len(members) + 1)
                     members += (a, b)
                 left -= 1
                 right += 1
-        orders[i] = PreferenceOrder(i, tuple(members), starts)
+        members += axis[left::-1] if left >= 0 else axis[right:]
+        orders[i] = PreferenceOrder(i, tuple(members), _offsets(ties, n))
 
     profile = Profile(orders)
     witness = WitnessOrder(axis)

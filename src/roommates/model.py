@@ -50,6 +50,26 @@ def _ints(size: int) -> list[int]:
     return ints
 
 
+def _offsets(ties: Sequence[int], size: int) -> Sequence[int]:
+    """The group offsets of an order with ``size`` members, taken from :func:`_ints`.
+
+    ``ties`` lists, ascending, the start and end in the members of each
+    group with two or more members.  Between two tie groups every group is
+    a singleton, so there the offsets are a run of consecutive numbers: one
+    slice each.
+    """
+    if not ties:
+        return range(size)
+    numbers = _ints(size)
+    starts: list[int] = []
+    lo = 0
+    for start, end in zip(ties[::2], ties[1::2]):
+        starts += numbers[lo:start + 1]
+        lo = end
+    starts += numbers[lo:size]
+    return tuple(starts)
+
+
 def _tie_groups(starts: Sequence[int], size: int) -> list[int]:
     """Indices of the groups with two or more members, ascending.
 
@@ -138,6 +158,10 @@ class PreferenceOrder(_Record):
     internal fast path: it trusts that ``starts`` are valid offsets and that
     each group's members are ascending, and an order built from unsorted
     groups compares unequal to the same order built by :meth:`from_groups`.
+    It keeps the offsets of an order with a tie as given and derives nothing
+    from them, so a caller passes offsets taken from :func:`_ints`, as
+    :func:`_offsets` builds them: every order then shares the same int
+    objects instead of holding one of its own per group.
     """
 
     __slots__ = ("owner", "members", "starts", "ranks")
@@ -149,24 +173,11 @@ class PreferenceOrder(_Record):
     ranks: dict[AgentId, int]
 
     def __init__(self, owner: AgentId, members: tuple[AgentId, ...], starts: Sequence[int]):
-        size = len(members)
-        if len(starts) == size:
-            starts = range(size)
-        else:
-            # Between two tie groups every group is a singleton, so there
-            # the offsets are a run of consecutive numbers: one slice each.
-            numbers = _ints(size)
-            offsets: list[int] = []
-            g = 0
-            for t in _tie_groups(starts, size):
-                offsets += numbers[starts[t] - t + g:starts[t] + 1]
-                g = t + 1
-            offsets += numbers[size - len(starts) + g:size]
-            starts = tuple(offsets)
         set_field = object.__setattr__
         set_field(self, "owner", owner)
         set_field(self, "members", members)
-        set_field(self, "starts", starts)
+        set_field(self, "starts", range(len(members)) if len(starts) == len(members)
+                  else tuple(starts))
 
     def __getattr__(self, name: str) -> dict[AgentId, int]:
         # Called only while the ``ranks`` slot is empty: build it on first read.
@@ -185,7 +196,7 @@ class PreferenceOrder(_Record):
         """
         seen: set[AgentId] = set()
         members: list[AgentId] = []
-        starts: list[int] = []
+        ties: list[int] = []
         for raw_group in raw:
             group = sorted({int(x) for x in raw_group})
             if not group:
@@ -194,9 +205,10 @@ class PreferenceOrder(_Record):
                 if member in seen:
                     raise DuplicateInOrder(owner, member)
                 seen.add(member)
-            starts.append(len(members))
+            if len(group) > 1:
+                ties += (len(members), len(members) + len(group))
             members += group
-        return cls(owner, tuple(members), tuple(starts))
+        return cls(owner, tuple(members), _offsets(ties, len(members)))
 
     def group(self, g: int) -> tuple[AgentId, ...]:
         """Members of tie group ``g``, ascending."""
@@ -220,13 +232,13 @@ class PreferenceOrder(_Record):
     def without(self, removed: Collection[AgentId]) -> "PreferenceOrder":
         """Copy of this order with ``removed`` deleted and empty groups dropped."""
         members: list[AgentId] = []
-        starts: list[int] = []
+        ties: list[int] = []
         for group in self.group_slices():
             kept = [m for m in group if m not in removed]
-            if kept:
-                starts.append(len(members))
-                members += kept
-        return PreferenceOrder(self.owner, tuple(members), tuple(starts))
+            if len(kept) > 1:
+                ties += (len(members), len(members) + len(kept))
+            members += kept
+        return PreferenceOrder(self.owner, tuple(members), _offsets(ties, len(members)))
 
 
 def _rank_table(order: PreferenceOrder) -> dict[AgentId, int]:
@@ -274,13 +286,6 @@ class Profile(_Record):
 
     def __init__(self, orders: Mapping[AgentId, PreferenceOrder]):
         orders = dict(orders)
-        for order in orders.values():
-            if len(set(order.members)) != len(order.members):
-                seen: set[AgentId] = set()
-                for member in order.members:
-                    if member in seen:
-                        raise DuplicateInOrder(order.owner, member)
-                    seen.add(member)
         _check_symmetry(orders)
         object.__setattr__(self, "orders", orders)
 
@@ -366,15 +371,28 @@ class WitnessOrder(_Record):
 # ---------------------------------------------------------------------------
 
 def _check_symmetry(orders: Mapping[AgentId, PreferenceOrder]) -> None:
-    """Raise AsymmetricAcceptability for the first one-sided pair in id order.
+    """The profile constructor's validity check.
 
-    ``orders`` name no agent twice.  A profile in which every agent ranks
-    every agent is symmetric, and one pass of lookups per order confirms
-    it.  In any other, each agent must rank exactly the agents of lower id
-    that rank it, which needs no rank table.
+    Raise DuplicateInOrder for the first order, in the mapping's order,
+    that names an agent twice, and then AsymmetricAcceptability for the
+    first one-sided pair in id order.  One set of each order's members
+    answers the duplicate test, and whether the order ranks exactly the
+    profile's agents.  A profile in which every agent does is symmetric.
+    In any other, each agent must rank exactly the agents of lower id that
+    rank it, which needs no rank table.
     """
-    n, everyone = len(orders), set(orders)
-    if all(len(o.members) == n and everyone.issuperset(o.members) for o in orders.values()):
+    everyone = set(orders)
+    complete = True
+    for order in orders.values():
+        ranked = set(order.members)
+        if len(ranked) != len(order.members):
+            seen: set[AgentId] = set()
+            for member in order.members:
+                if member in seen:
+                    raise DuplicateInOrder(order.owner, member)
+                seen.add(member)
+        complete = complete and ranked == everyone
+    if complete:
         return
     from array import array  # an extension module: complete profiles never load it
     owners = sorted(orders)

@@ -247,6 +247,54 @@ def test_first_error_in_file_order(text, error):
     assert error in str(info.value)
 
 
+# Files with several faults each: the first error is pinned, type and text.
+# Every line-level ParseError comes first, in line order, then the missing
+# pref line; a repeat across groups comes next, on the first such line in
+# file order whichever reader took that line; a one-sided pair comes last.
+# A repeat inside one tie group merges and is no fault.
+@pytest.mark.parametrize("text, error, message", [
+    # A repeat across groups on a canonical line, then a malformed line.
+    ("agents 3\npref 0: 0 | 1 | 1\npref 1: 1 | 0\npref 2: 2 | x\n",
+     ParseError, "line 4: expected an integer, got 'x'"),
+    # ... then an agent out of range.
+    ("agents 3\npref 0: 0 | 1 | 1\npref 1: 1 | 0\npref 2: 2 | 5\n",
+     ParseError, "line 4: agent 5 outside 0..2"),
+    # ... then a second pref line for one agent.
+    ("agents 3\npref 0: 0 | 2 1 | 2\npref 1: 1 | 0\npref 2: 2 | 0\npref 1: 1\n",
+     ParseError, "line 5: duplicate pref line for agent 1"),
+    # ... with a pref line missing.
+    ("agents 4\npref 0: 0 | 1 2 | 2\npref 1: 1 | 0\npref 2: 2 | 0\n",
+     ParseError, "no pref line for agent 3"),
+    # A repeat inside a tie group merges; the one-sided pair is the fault.
+    ("agents 3\npref 0: 0 | 1 1 | 2\npref 1: 1 | 0\npref 2: 2\n",
+     AsymmetricAcceptability, "agent 0 ranks agent 2, but 2 does not rank 0"),
+    # A merging repeat, then a repeat across groups on a later line.
+    ("agents 3\npref 0: 0 | 1 1 | 2\npref 1: 1 | 0 | 0\npref 2: 2 | 0\n",
+     DuplicateInOrder, "agent 0 appears twice in the order of agent 1"),
+    ("agents 3\npref 0: 0 | 1 1 1 | 2 2\npref 1: 1 | 0\npref 2: 2 | 0 | 0\n",
+     DuplicateInOrder, "agent 0 appears twice in the order of agent 2"),
+    # A one-sided pair (0, 2) on an earlier line than a repeat.
+    ("agents 3\npref 0: 0 | 2\npref 1: 1 | 2 | 2\npref 2: 2 | 1\n",
+     DuplicateInOrder, "agent 2 appears twice in the order of agent 1"),
+    # A repeat on a canonical line before one on a line with odd spacing
+    # or spelling, and the other way round.
+    ("agents 3\npref 0: 0 | 1 | 1\npref 1: 1 |  0 | 0\npref 2: 2\n",
+     DuplicateInOrder, "agent 1 appears twice in the order of agent 0"),
+    ("agents 3\npref 0: 0 | 1 | 1\npref 1: 1 | 0 | 01\npref 2: 2\n",
+     DuplicateInOrder, "agent 1 appears twice in the order of agent 0"),
+    ("agents 3\npref 0: 0 |  1 | 1\npref 1: 1 | 0 | 0\npref 2: 2\n",
+     DuplicateInOrder, "agent 1 appears twice in the order of agent 0"),
+    # A tie group that repeats a member of another group, the owner included.
+    ("agents 3\npref 0: 0 2 | 1 2 0\npref 1: 1 | 0\npref 2: 2 0 2\n",
+     DuplicateInOrder, "agent 0 appears twice in the order of agent 0"),
+])
+def test_the_first_of_several_faults_is_reported(text, error, message):
+    with pytest.raises(RoommatesError) as info:
+        parse_profile(text)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
 def test_serialization_needs_dense_ids():
     sparse = build_profile({0: [[0], [2]], 2: [[2], [0]]})
     with pytest.raises(ValueError, match="dense"):

@@ -282,6 +282,38 @@ def test_parsing_solving_and_verifying_build_no_rank_table():
     assert not any(map(_has_table, [*cut.orders.values(), *parsed.orders.values()]))
 
 
+def test_built_orders_take_their_offsets_from_the_shared_ints(monkeypatch):
+    # The constructor keeps the offsets it is given, so every builder must
+    # take them from model._ints.  Python caches ints up to 256, so the
+    # sharing is checked on orders longer than that.
+    calls = []
+    tie_groups = model._tie_groups
+
+    def spy(starts, size):
+        calls.append(size)
+        return tie_groups(starts, size)
+
+    built = []
+    for n in (200, 400):
+        profile, _ = gen_narcissistic_sp(GeneratorConfig(n, True, 0.5, 3))
+        text = serialize_profile(profile)
+        monkeypatch.setattr(model, "_tie_groups", spy)
+        parsed = parse_profile(text)
+        monkeypatch.setattr(model, "_tie_groups", tie_groups)
+        assert calls == []
+        assert parsed == profile
+        for order in profile.orders.values():
+            built += [order, parsed.order(order.owner),
+                      PreferenceOrder.from_groups(order.owner, list(order.group_slices())),
+                      order.without(set(order.members[1::3]))]
+    tied = [order for order in built if order.has_tie]
+    assert len(tied) > len(built) // 2
+    shared = model._ints(400)
+    for order in tied:
+        assert type(order.starts) is tuple
+        assert all(s is shared[s] for s in order.starts)
+
+
 # ---------------------------------------------------------------------------
 # most_acceptable_set
 # ---------------------------------------------------------------------------
