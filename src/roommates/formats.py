@@ -17,8 +17,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .errors import ParseError
-from .model import (AgentId, Matching, PreferenceOrder, Profile, WitnessOrder, _ints, _offsets,
-                    _tie_groups)
+from .model import AgentId, Matching, PreferenceOrder, Profile, WitnessOrder, _ints
 
 if TYPE_CHECKING:
     from .coloring import Graph
@@ -138,7 +137,7 @@ def _flat_order(
     ranked = set(members)
     if None in ranked or len(ranked) != len(members):
         return None
-    return PreferenceOrder(agent, tuple(members), _offsets(ties, len(members)))
+    return PreferenceOrder._from_ties(agent, tuple(members), ties)
 
 
 def _raw_groups(tail: str, n: int, line_no: int) -> list[list[AgentId]]:
@@ -167,12 +166,10 @@ def serialize_profile(profile: Profile) -> str:
     for i in profile.agents:
         order = profile.orders[i]
         parts = list(map(names.__getitem__, order.members))
-        if order.has_tie:
-            starts = order.starts
-            for g in reversed(_tie_groups(starts, len(parts))):
-                lo = starts[g]
-                hi = starts[g + 1] if g + 1 < len(starts) else len(parts)
-                parts[lo:hi] = [" ".join(parts[lo:hi])]
+        ties = order.ties
+        for k in range(len(ties) - 2, -1, -2):
+            lo, hi = ties[k], ties[k + 1]
+            parts[lo:hi] = [" ".join(parts[lo:hi])]
         out.append(f"pref {names[i]}: {' | '.join(parts)}".rstrip())
     return "\n".join(out) + "\n"
 

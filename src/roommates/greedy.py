@@ -12,6 +12,8 @@ stuck there; on unstructured input it may raise NoMutualPair.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 from .errors import InternalInvariantViolation, NoMutualPair, NotComplete, NotNarcissistic
 from .model import AgentId, Matching, Profile, _Record, most_acceptable_set
 from .stability import find_blocking_pairs
@@ -85,20 +87,24 @@ def greedy_solve(profile: Profile) -> tuple[Matching, SolveTrace]:
 
     orders = profile.orders
     left = dict.fromkeys(profile.agents)  # remaining agents, in id order
-    # best[a]: index of a's best tie group that may hold a remaining agent.
+    # best[a]: the offset of a's best tie group that may hold a remaining agent.
     best = dict.fromkeys(profile.agents, 1)
 
     def top(a: AgentId) -> tuple[AgentId, ...]:
         """a's best tie group holding a remaining agent, or () if none is left."""
-        order, g = orders[a], best[a]
-        while g < len(order.starts):
-            group = order.group(g)
+        order, lo = orders[a], best[a]
+        members, ties = order.members, order.ties
+        while lo < len(members):
+            # A group starts at lo; it is a tie exactly when a span starts there.
+            k = bisect_right(ties, lo)
+            hi = ties[k] if k & 1 else lo + 1
+            group = members[lo:hi]
             if not left.keys().isdisjoint(group):
                 break
-            g += 1
+            lo = hi
         else:
             group = ()
-        best[a] = g
+        best[a] = lo
         return group
 
     rounds: list[tuple[Pair, int]] = []

@@ -14,7 +14,7 @@ import random
 from typing import TYPE_CHECKING
 
 from .errors import InternalInvariantViolation, UnknownFixture
-from .model import (AgentId, PreferenceOrder, Profile, WitnessOrder, _ints, _offsets, _Record,
+from .model import (AgentId, PreferenceOrder, Profile, WitnessOrder, _ints, _Record,
                     build_profile)
 from .structure import is_single_peaked_wrt
 
@@ -166,7 +166,7 @@ def gen_narcissistic_sp(config: GeneratorConfig) -> tuple[Profile, WitnessOrder]
                 left -= 1
                 right += 1
         members += axis[left::-1] if left >= 0 else axis[right:]
-        orders[i] = PreferenceOrder(i, tuple(members), _offsets(ties, n))
+        orders[i] = PreferenceOrder._from_ties(i, tuple(members), ties)
 
     profile = Profile(orders)
     witness = WitnessOrder(axis)

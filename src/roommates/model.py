@@ -4,9 +4,10 @@ and witness orders (a linear order of the agents, such as an axis).
 Agents are plain non-negative ints.  A preference order ranks the agents
 its owner finds acceptable in tie groups, best group first; an agent may
 list itself.  It is stored flat: the members in rank order (ascending
-inside a tie group) and the offset where each group starts.  A rank table
-is built from those on its first read, and the frozenset ``groups`` are a
-view derived on request.  A profile bundles one order per agent, and its
+inside a tie group) and the start and end of each tie group, so an order
+without ties stores no span.  Group offsets and a rank table are built
+from those on their first read, and the frozenset ``groups`` are a view
+derived on request.  A profile bundles one order per agent, and its
 constructor is the one validity check: acceptability is symmetric and no
 order names an agent twice.  Nothing more is required, so an agent may
 rank nobody and the number of agents may be odd.
@@ -23,10 +24,9 @@ type costs nothing at start-up and no command loads ``inspect``.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from functools import cached_property
-from itertools import chain, pairwise
+from itertools import chain, islice
 
 from .errors import AsymmetricAcceptability, DuplicateInOrder
 
@@ -35,7 +35,7 @@ AgentId = int
 RawOrder = Sequence[Iterable[AgentId]]
 
 
-# Python caches only small int objects, so rank values and offsets are
+# Python caches only small int objects, so rank values and spans are
 # taken from one list that grows on demand: every order stores each
 # number once instead of once per entry.
 _INTS: list[int] = []
@@ -48,45 +48,6 @@ def _ints(size: int) -> list[int]:
     if len(ints) < size:
         ints = _INTS = ints + list(range(len(ints), max(size, 2 * len(ints))))
     return ints
-
-
-def _offsets(ties: Sequence[int], size: int) -> Sequence[int]:
-    """The group offsets of an order with ``size`` members, taken from :func:`_ints`.
-
-    ``ties`` lists, ascending, the start and end in the members of each
-    group with two or more members.  Between two tie groups every group is
-    a singleton, so there the offsets are a run of consecutive numbers: one
-    slice each.
-    """
-    if not ties:
-        return range(size)
-    numbers = _ints(size)
-    starts: list[int] = []
-    lo = 0
-    for start, end in zip(ties[::2], ties[1::2]):
-        starts += numbers[lo:start + 1]
-        lo = end
-    starts += numbers[lo:size]
-    return tuple(starts)
-
-
-def _tie_groups(starts: Sequence[int], size: int) -> list[int]:
-    """Indices of the groups with two or more members, ascending.
-
-    ``starts`` are the group offsets of an order with ``size`` members.
-    ``starts[g] - g`` never decreases and rises just after each tie group,
-    so one bisection per tie finds them all: O(t log g) steps for t ties
-    among g groups.
-    """
-    count = len(starts)
-    ties: list[int] = []
-    g, excess = 0, 0
-    while excess < size - count and g < count:
-        # The first group after g with a larger excess follows a tie.
-        g = bisect_right(range(count), excess, g + 1, key=lambda h: starts[h] - h)
-        ties.append(g - 1)
-        excess = (starts[g] if g < count else size) - g
-    return ties
 
 
 class _Record:
@@ -148,44 +109,56 @@ class PreferenceOrder(_Record):
     """One agent's ranked tie groups, stored flat, most preferred group first.
 
     ``members`` lists the ranked agents group by group, ascending inside a
-    tie group, and ``starts`` holds the offset in ``members`` where each
-    group begins: a ``range`` when every group is a singleton, else a tuple.
-    ``ranks`` maps each member to its group's index; it is built on first
-    read and kept, and takes no part in equality, hash, repr or pickling.
-    ``groups`` is a view derived on each call.
+    tie group, and ``ties`` the start and end in ``members`` of each group
+    with two or more members: ``()`` when every group is a singleton.
+    ``starts`` (the offset where each group begins: a ``range`` when every
+    group is a singleton, else a tuple) and ``ranks`` (each member's group
+    index) are derived from those on first read and kept; ``starts`` stands
+    for the stored form in equality, hash, repr and pickling, and ``ranks``
+    takes no part in them.  ``groups`` is a view derived on each call.
 
-    Build orders with :meth:`from_groups`.  The constructor is the library's
-    internal fast path: it trusts that ``starts`` are valid offsets and that
-    each group's members are ascending, and an order built from unsorted
-    groups compares unequal to the same order built by :meth:`from_groups`.
-    It keeps the offsets of an order with a tie as given and derives nothing
-    from them, so a caller passes offsets taken from :func:`_ints`, as
-    :func:`_offsets` builds them: every order then shares the same int
-    objects instead of holding one of its own per group.
+    Build orders with :meth:`from_groups`.  The constructor takes the group
+    offsets, as pickling passes them, and the library's builders call
+    :meth:`_from_ties`.  Both trust their input and that each group's
+    members are ascending: an order built from unsorted groups compares
+    unequal to the same order built by :meth:`from_groups`.  Both take the
+    span ints from :func:`_ints`, so every order shares the same objects.
     """
 
-    __slots__ = ("owner", "members", "starts", "ranks")
+    __slots__ = ("owner", "members", "ties", "starts", "ranks")
     _fields = ("owner", "members", "starts")
 
     owner: AgentId
     members: tuple[AgentId, ...]
+    ties: tuple[int, ...]
     starts: Sequence[int]
     ranks: dict[AgentId, int]
 
     def __init__(self, owner: AgentId, members: tuple[AgentId, ...], starts: Sequence[int]):
+        ends = (*starts[1:], len(members))
+        ties = [bound for lo, hi in zip(starts, ends) if hi - lo > 1 for bound in (lo, hi)]
+        self._store(owner, members, ties)
+
+    @classmethod
+    def _from_ties(cls, owner: AgentId, members: tuple[AgentId, ...], ties: Sequence[int]):
+        """The order with these members and tie spans, taken as given."""
+        return cls.__new__(cls)._store(owner, members, ties)
+
+    def _store(self, owner: AgentId, members: tuple[AgentId, ...], ties: Sequence[int]):
+        numbers = _ints(len(members) + 1)
         set_field = object.__setattr__
         set_field(self, "owner", owner)
         set_field(self, "members", members)
-        set_field(self, "starts", range(len(members)) if len(starts) == len(members)
-                  else tuple(starts))
+        set_field(self, "ties", tuple([numbers[t] for t in ties]))
+        return self
 
-    def __getattr__(self, name: str) -> dict[AgentId, int]:
-        # Called only while the ``ranks`` slot is empty: build it on first read.
-        if name != "ranks":
+    def __getattr__(self, name: str) -> object:
+        # Called only while a derived slot is empty: build it on first read.
+        if name not in ("ranks", "starts"):
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        ranks = _rank_table(self)
-        object.__setattr__(self, "ranks", ranks)
-        return ranks
+        value = _rank_table(self) if name == "ranks" else _group_starts(self)
+        object.__setattr__(self, name, value)
+        return value
 
     @classmethod
     def from_groups(cls, owner: AgentId, raw: RawOrder) -> "PreferenceOrder":
@@ -208,18 +181,24 @@ class PreferenceOrder(_Record):
             if len(group) > 1:
                 ties += (len(members), len(members) + len(group))
             members += group
-        return cls(owner, tuple(members), _offsets(ties, len(members)))
+        return cls._from_ties(owner, tuple(members), ties)
 
     def group(self, g: int) -> tuple[AgentId, ...]:
         """Members of tie group ``g``, ascending."""
-        end = self.starts[g + 1] if g + 1 < len(self.starts) else len(self.members)
-        return self.members[self.starts[g]:end]
+        for group in islice(self.group_slices(), g, None):
+            return group
+        raise IndexError("tie group index out of range")
 
     def group_slices(self) -> Iterator[tuple[AgentId, ...]]:
         """Each tie group's members, ascending, best group first."""
-        members = self.members
-        for lo, hi in pairwise((*self.starts, len(members))):
-            yield members[lo:hi]
+        members, ties = self.members, self.ties
+        # Singletons from lo to each tie's start, then the tie; after the last
+        # tie, singletons up to the end.
+        for lo, start, end in zip((0, *ties[1::2]), (*ties[::2], len(members)), (*ties[1::2], 0)):
+            for k in range(lo, start):
+                yield members[k:k + 1]
+            if start < end:
+                yield members[start:end]
 
     @property
     def groups(self) -> tuple[frozenset[AgentId], ...]:
@@ -227,7 +206,7 @@ class PreferenceOrder(_Record):
 
     @property
     def has_tie(self) -> bool:
-        return len(self.starts) != len(self.members)
+        return bool(self.ties)
 
     def without(self, removed: Collection[AgentId]) -> "PreferenceOrder":
         """Copy of this order with ``removed`` deleted and empty groups dropped."""
@@ -238,7 +217,22 @@ class PreferenceOrder(_Record):
             if len(kept) > 1:
                 ties += (len(members), len(members) + len(kept))
             members += kept
-        return PreferenceOrder(self.owner, tuple(members), _offsets(ties, len(members)))
+        return PreferenceOrder._from_ties(self.owner, tuple(members), ties)
+
+
+def _group_starts(order: PreferenceOrder) -> Sequence[int]:
+    """A new sequence of the offsets where the groups of ``order`` start.
+
+    Between two tie groups every group is a singleton, so there the offsets,
+    taken from :func:`_ints`, are a run of consecutive numbers: one slice each.
+    """
+    size, ties = len(order.members), order.ties
+    if not ties:
+        return range(size)
+    numbers, starts = _ints(size), []
+    for lo, last in zip((0, *ties[1::2]), (*ties[::2], size - 1)):
+        starts += numbers[lo:last + 1]
+    return tuple(starts)
 
 
 def _rank_table(order: PreferenceOrder) -> dict[AgentId, int]:
@@ -247,19 +241,18 @@ def _rank_table(order: PreferenceOrder) -> dict[AgentId, int]:
     Between two tie groups the values, taken from :func:`_ints`, are a run
     of consecutive numbers: one slice each.
     """
-    members, starts = order.members, order.starts
-    size, count = len(members), len(starts)
-    numbers = _ints(size)
-    if count == size:
+    members, ties = order.members, order.ties
+    numbers = _ints(len(members))
+    if not ties:
         return dict(zip(members, numbers))
     values: list[int] = []
-    g = 0
-    for t in _tie_groups(starts, size):
-        hi = starts[t + 1] if t + 1 < count else size
-        values += numbers[g:t]
-        values += [numbers[t]] * (hi - starts[t])
-        g = t + 1
-    values += numbers[g:count]
+    lo = extra = 0  # extra: the members beyond one per group before lo
+    for start, end in zip(ties[::2], ties[1::2]):
+        values += numbers[lo - extra:start - extra]
+        values += [numbers[start - extra]] * (end - start)
+        extra += end - start - 1
+        lo = end
+    values += numbers[lo - extra:len(members) - extra]
     return dict(zip(members, values))
 
 

@@ -39,7 +39,7 @@ from bisect import bisect_right
 from enum import Enum
 from operator import itemgetter
 
-from .model import AgentId, Matching, Profile, _Record
+from .model import AgentId, Matching, Profile, _group_starts, _Record
 from .search import DEFAULT_SEARCH_BUDGET, depth_first
 
 
@@ -87,11 +87,13 @@ def find_blocking_pairs(profile: Profile, matching: Matching) -> list[BlockingPa
     better: dict[AgentId, set[AgentId]] = {}
     for x in profile.agents:
         px = partner_of.get(x)
-        members, starts = orders[x].members, orders[x].starts
+        members, ties = orders[x].members, orders[x].ties
         if px is None:
             better[x] = set(members)
             continue
-        want = set(members[: starts[bisect_right(starts, members.index(px)) - 1]])
+        at = members.index(px)  # px's group starts here unless a tie span holds it
+        k = bisect_right(ties, at)
+        want = set(members[: ties[k - 1] if k & 1 else at])
         want.discard(x)
         better[x] = want
     blocking = []
@@ -152,7 +154,7 @@ class _StableSearch:
                 map(index.__getitem__, others),
                 map(itemgetter(a), map(ranks_of.__getitem__, others)),
             )))
-            starts = [*order.starts, len(order.members)]
+            starts = [*_group_starts(order), len(order.members)]
             if a in order.ranks:  # the owner's own entry is not a neighbor
                 own = order.ranks[a]
                 starts[own + 1:] = [s - 1 for s in starts[own + 1:]]
@@ -163,7 +165,7 @@ class _StableSearch:
         # maxrank[i]: the worst group i may still be matched in, or -1 once
         # i is decided, so that no one is live in a decided agent's eyes.
         # A decided agent may not stay single either.
-        self.maxrank = [len(profile.orders[a].starts) for a in self.agents]
+        self.maxrank = [len(below) - 2 for below in self.below]
         self.can_unmatch = [True] * m
         self.partner = [-1] * m
         # Branching size of each undecided agent: its live options plus 1

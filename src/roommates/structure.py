@@ -26,8 +26,8 @@ from itertools import combinations, groupby, pairwise, permutations
 from operator import add
 
 from .errors import BudgetExceeded, TieGroupTooLarge, TiesUnsupported, TooManyAgents
-from .model import (AgentId, PreferenceOrder, Profile, WitnessOrder, _Record, _ranks_once,
-                    _tie_groups)
+from .model import (AgentId, PreferenceOrder, Profile, WitnessOrder, _group_starts, _Record,
+                    _ranks_once)
 from .search import DEFAULT_SEARCH_BUDGET, depth_first
 
 OrderLike = "WitnessOrder | Sequence[AgentId]"
@@ -116,26 +116,26 @@ def is_single_peaked_wrt(profile: Profile, order: OrderLike) -> Verdict:
     any acceptable agent.  On failure the verdict carries the
     lexicographically first violating (agent, x, y, z).
 
-    An order passes exactly when its ranks along the axis never rise and
-    then fall, since the largest rank between a rise and a later fall is
-    a valley.  That holds exactly when the ranks never rise up to the
-    first best rank and never fall after it, so one ``min`` and two sorted
-    comparisons per agent check it, each a run that sorts in linear time.
-    An order that ranks every agent is read along the axis itself; any
-    other order is first sorted by axis position.  Each order is read once,
-    so a rank table not yet built is built for this check and not kept.
+    An order passes exactly when each prefix of its groups is an interval
+    of its members along the axis: a member between two members of a prefix
+    but outside it is a valley.  With the members' positions numbered 0, 1,
+    ... along the axis, and each tie group sorted by distance from the first
+    member's number p0, the members before p0 must then come at p0 - 1,
+    p0 - 2, ..., 0 and those after it at p0 + 1, p0 + 2, ....  No rank
+    table is read or built.
     """
     pos = _order_positions(profile, order)
     for i in sorted(profile.orders):
-        ranks = _ranks_once(profile.orders[i])
-        along = pos if len(ranks) == len(pos) else sorted(ranks, key=pos.__getitem__)
-        seq = list(map(ranks.__getitem__, along))
-        if not seq:
-            continue
-        peak = seq.index(min(seq))
-        before, after = seq[peak::-1], seq[peak:]
-        if before != sorted(before) or after != sorted(after):
-            return Verdict(False, _first_valley_witness(profile.orders[i], pos))
+        voter = profile.orders[i]
+        at, ties = list(map(pos.__getitem__, voter.members)), voter.ties
+        if len(at) < len(pos):
+            at = list(map({p: k for k, p in enumerate(sorted(at))}.__getitem__, at))
+        p0 = at[0] if at else 0
+        for start, end in zip(ties[::2], ties[1::2]):
+            at[start:end] = sorted(at[start:end], key=lambda p: abs(p - p0))
+        if not ([p for p in at if p < p0] == list(range(p0 - 1, -1, -1))
+                and [p for p in at if p > p0] == list(range(p0 + 1, len(at)))):
+            return Verdict(False, _first_valley_witness(voter, pos))
     return Verdict(True)
 
 
@@ -250,11 +250,13 @@ def _doubled_midranks(
     An agent in a tie group holding positions b .. b+s-1 gets 2b + s, so the
     values order agents as the voter does, ties equal.  That is the group's
     start plus the next group's: ``odd[g]`` = 2g + 1 in a strict order.
+    A rank table not yet built is not kept, so resolved orders hold none.
     """
-    mids, starts = odd, order.starts
-    if order.has_tie:
+    mids = odd
+    if order.ties:
+        starts = _group_starts(order)
         mids = list(map(add, starts, (*starts[1:], len(order.members))))
-    return list(map(mids.__getitem__, map(order.ranks.__getitem__, index)))
+    return list(map(mids.__getitem__, map(_ranks_once(order).__getitem__, index)))
 
 
 def _discord(
@@ -280,7 +282,7 @@ def _discord(
     out = [a + b for a, b in zip(ku, kv)]
     passed: list[int] = []
     members = order.members
-    for lo, hi in pairwise((*order.starts, len(members))):
+    for lo, hi in pairwise((*_group_starts(order), len(members))):
         if hi - lo == 1:
             x = index[members[lo]]
             k = kv[x]
@@ -310,20 +312,21 @@ def _kendall_crossing_violation(
     pair iff sum_t D_x(v_t, v_t+1) > D_x(v_1, v_n) (see :func:`_discord`).  The
     smallest such x is the first coordinate of the smallest violating pair,
     and one pass over x's partners finds the second.  Voters are read one
-    at a time: beyond the first and the last, only their keys are kept.
+    at a time: beyond the last, only their keys are kept.
     """
     n = len(agents)
     index = {a: k for k, a in enumerate(agents)}
     odd = list(range(1, 2 * n, 2))
     voters = iter(voters)
-    first = last = next(voters)
-    keys = [_doubled_midranks(first, index, odd)]
+    last = next(voters)
+    keys = [_doubled_midranks(last, index, odd)]
     excess = [0] * n
     for order in voters:
         keys.append(_doubled_midranks(order, index, odd))
         excess = [e + d for e, d in zip(excess, _discord(last, index, keys[-2], keys[-1]))]
         last = order
-    excess = [e - d for e, d in zip(excess, _discord(first, index, keys[0], keys[-1]))]
+    # D is symmetric, so the last voter's groups give D(v_1, v_n) too.
+    excess = [e - d for e, d in zip(excess, _discord(last, index, keys[-1], keys[0]))]
     x = next((x for x, e in enumerate(excess) if e > 0), None)
     if x is None:
         return None
@@ -471,27 +474,22 @@ def _resolve_ties(voters: list[PreferenceOrder]) -> Iterator[PreferenceOrder]:
     """
     resolved = voters[-1]
     for order in reversed(voters):
-        resolved = _broken_by(order, resolved.ranks)
+        resolved = _broken_by(order, _ranks_once(resolved))
     yield resolved
     for order in voters[1:]:
-        resolved = _broken_by(order, resolved.ranks)
+        resolved = _broken_by(order, _ranks_once(resolved))
         yield resolved
 
 
 def _broken_by(order: PreferenceOrder, ranks: dict[AgentId, int]) -> PreferenceOrder:
     """``order`` with each tie group sorted by ``ranks``, ties there by id."""
-    if not order.has_tie:
+    ties = order.ties
+    if not ties:
         return order
-    members, starts = order.members, order.starts
-    out: list[AgentId] = []
-    done = 0
-    for t in _tie_groups(starts, len(members)):
-        group = order.group(t)
-        out += members[done:starts[t]]
-        out += sorted(group, key=ranks.__getitem__)
-        done = starts[t] + len(group)
-    out += members[done:]
-    return PreferenceOrder(order.owner, tuple(out), range(len(members)))
+    out = list(order.members)
+    for start, end in zip(ties[::2], ties[1::2]):
+        out[start:end] = sorted(out[start:end], key=ranks.__getitem__)
+    return PreferenceOrder._from_ties(order.owner, tuple(out), ())
 
 
 def _sc_exact(profile: Profile, pos: dict[AgentId, int], budget: int) -> bool:
@@ -510,30 +508,28 @@ def _sc_exact(profile: Profile, pos: dict[AgentId, int], budget: int) -> bool:
     # listed once, on its first visit.
     strict: dict[int, list[tuple[tuple[AgentId, AgentId], str]]] = {}
 
-    def frame(k: int, g: int):
-        # Voters before k and voter k's groups before g are placed.  Voters
-        # without a tie group past g are placed here, under one trail.
+    def frame(k: int, t: int):
+        # Voters before k and voter k's first t tie groups are placed.  Voters
+        # without a tie group past those are placed here, under one trail.
         trail: list = []
         while k < len(voters):
             order = voters[k]
-            if g == 0:
+            if t == 0:
                 if k not in strict:
                     strict[k] = [p for p in _voter_relations(order) if p[1] != _T]
                 if not _extend_runs(runs, strict[k], trail):
                     break
-            ties = _tie_groups(order.starts, len(order.members))
-            tied = next((h for h in ties if h >= g), None)
-            if tied is None:
-                k, g = k + 1, 0
+            if 2 * t == len(order.ties):
+                k, t = k + 1, 0
                 continue
-            for perm in permutations(order.group(tied)):
+            for perm in permutations(order.members[order.ties[2 * t]:order.ties[2 * t + 1]]):
                 rels = [
                     ((a, b), _A) if a < b else ((b, a), _B)
                     for a, b in combinations(perm, 2)
                 ]
                 perm_trail: list = []
                 if _extend_runs(runs, rels, perm_trail):
-                    yield frame(k, tied + 1)
+                    yield frame(k, t + 1)
                 _undo_runs(runs, perm_trail)
             break
         else:
@@ -645,10 +641,16 @@ def find_tssc_order(
     state: list[str] = [""] * len(pair_rel)
     # The axis so far, kept in a dict for its order and its fast lookups.
     placed: dict[AgentId, None] = {}
+    # A frame's future depends only on the voters placed and on the run
+    # strings, so a (placed set, state) key that once failed always fails.
+    dead: set[tuple[frozenset[AgentId], tuple[str, ...]]] = set()
 
     def frame():
         if len(placed) == len(agents):
             yield True
+            return
+        key = (frozenset(placed), tuple(state))
+        if key in dead:
             return
         for v in agents:
             if v in placed:
@@ -661,7 +663,8 @@ def find_tssc_order(
             _undo_runs(state, trail)
             if not voter_rels[v]:
                 # v is in no constraint: placing it now is safe and smallest.
-                return
+                break
+        dead.add(key)
 
     if depth_first(frame()):
         return WitnessOrder(placed)
@@ -715,8 +718,6 @@ def property_report(
     single_peaked = tssc = None
     single_crossing: bool | None = None
     if order is not None:
-        # The crossing check keeps each order's rank table, so the
-        # single-peaked check after it builds none of its own.
         tssc = is_tssc_wrt(profile, order)
         single_peaked = is_single_peaked_wrt(profile, order)
         try:

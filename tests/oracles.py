@@ -207,11 +207,30 @@ def _pair_word(tables, order_seq, x, y) -> str:
 
 def tssc_by_definition(profile: Profile, order_seq) -> bool:
     """Per pair: strict block, tied block, strict block (or reversed)."""
-    tables = rank_tables(profile)
-    for x, y in itertools.combinations(profile.agents, 2):
+    return _fits_blocks(rank_tables(profile), profile.agents, order_seq)
+
+
+def _fits_blocks(tables, agents, order_seq) -> bool:
+    for x, y in itertools.combinations(agents, 2):
         if not _BLOCK_WORD.fullmatch(_pair_word(tables, order_seq, x, y)):
             return False
     return True
+
+
+def smallest_tssc_axis_by_definition(profile: Profile):
+    """The smallest permutation of the agents that tssc_by_definition
+    accepts, or None, found by trying them all in lexicographic order.
+
+    The block rule holds for a word exactly when it holds for its reverse,
+    so an order passes exactly when its reverse does, and of the two the
+    smaller starts with the smaller of its two ends: only those are tried.
+    """
+    agents = profile.agents
+    tables = rank_tables(profile)
+    return next((
+        seq for seq in itertools.permutations(agents)
+        if seq[0] <= seq[-1] and _fits_blocks(tables, agents, seq)
+    ), None) if agents else ()
 
 
 def first_tssc_violation_by_definition(profile: Profile, order_seq):

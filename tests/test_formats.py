@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import random
 import tracemalloc
 
@@ -162,6 +163,28 @@ def test_parsed_orders_hold_at_most_24_bytes_per_entry():
         tracemalloc.stop()
     assert parsed.n_agents == 200
     assert live / entries <= 24
+
+
+def test_parsed_tied_orders_hold_at_most_10_bytes_per_entry():
+    # The members tuple takes 8 bytes per entry.  An order stores only the
+    # spans of its ties; one offset per group would add about 7 more.
+    profile, _ = gen_narcissistic_sp(GeneratorConfig(400, True, 0.5, 3))
+    text = serialize_profile(profile)
+    entries = sum(len(order.members) for order in profile.orders.values())
+    del profile
+    # Where a collection lands would shift the reading, so none runs inside.
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        parsed = parse_profile(text)
+        live = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert sum(order.has_tie for order in parsed.orders.values()) > 300
+    assert live / entries <= 10
 
 
 # Each line names an agent twice across groups (agent 0's "1 1" merges), or

@@ -197,8 +197,9 @@ def test_tie_runs_give_the_ranks_offsets_and_text_of_the_groups():
                     assert built.ranks == {m: g for g, grp in enumerate(groups) for m in grp}
                     assert tuple(built.starts) == tuple(offsets)
                     assert list(built.group_slices()) == [tuple(sorted(g)) for g in groups]
-                    assert model._tie_groups(built.starts, n) == [
-                        g for g, grp in enumerate(groups) if len(grp) > 1]
+                    assert built.ties == tuple(
+                        bound for g, grp in enumerate(groups) if len(grp) > 1
+                        for bound in (offsets[g], offsets[g] + len(grp)))
             assert serialize_profile(build_profile(raw)) == "\n".join(lines) + "\n"
 
 
@@ -220,10 +221,11 @@ def test_tied_orders_share_their_offsets_and_ranks():
 # The rank table, built on first read
 # ---------------------------------------------------------------------------
 
-def _has_table(order: PreferenceOrder) -> bool:
-    """Whether ``order`` holds its rank table, read without building it."""
+def _has_table(order: PreferenceOrder, slot: str = "ranks") -> bool:
+    """Whether ``order`` holds its rank table (or the derived ``slot``), read
+    without building it."""
     try:
-        PreferenceOrder.ranks.__get__(order)
+        getattr(PreferenceOrder, slot).__get__(order)
     except AttributeError:
         return False
     return True
@@ -283,24 +285,28 @@ def test_parsing_solving_and_verifying_build_no_rank_table():
 
 
 def test_built_orders_take_their_offsets_from_the_shared_ints(monkeypatch):
-    # The constructor keeps the offsets it is given, so every builder must
-    # take them from model._ints.  Python caches ints up to 256, so the
-    # sharing is checked on orders longer than that.
+    # Every builder hands the constructor its tie spans, which must come
+    # from model._ints, and parsing derives neither the group offsets nor
+    # a rank table from them.  Python caches ints up to 256, so the sharing
+    # is checked on orders longer than that.
     calls = []
-    tie_groups = model._tie_groups
 
-    def spy(starts, size):
-        calls.append(size)
-        return tie_groups(starts, size)
+    def spy(derive):
+        def spied(order):
+            calls.append(order.owner)
+            return derive(order)
+        return spied
 
     built = []
     for n in (200, 400):
         profile, _ = gen_narcissistic_sp(GeneratorConfig(n, True, 0.5, 3))
         text = serialize_profile(profile)
-        monkeypatch.setattr(model, "_tie_groups", spy)
-        parsed = parse_profile(text)
-        monkeypatch.setattr(model, "_tie_groups", tie_groups)
+        with monkeypatch.context() as patch:
+            patch.setattr(model, "_group_starts", spy(model._group_starts))
+            patch.setattr(model, "_rank_table", spy(model._rank_table))
+            parsed = parse_profile(text)
         assert calls == []
+        assert not any(_has_table(order, "starts") for order in parsed.orders.values())
         assert parsed == profile
         for order in profile.orders.values():
             built += [order, parsed.order(order.owner),
@@ -308,10 +314,54 @@ def test_built_orders_take_their_offsets_from_the_shared_ints(monkeypatch):
                       order.without(set(order.members[1::3]))]
     tied = [order for order in built if order.has_tie]
     assert len(tied) > len(built) // 2
-    shared = model._ints(400)
+    shared = model._ints(401)
     for order in tied:
+        assert type(order.ties) is tuple
+        assert all(s is shared[s] for s in order.ties)
         assert type(order.starts) is tuple
         assert all(s is shared[s] for s in order.starts)
+
+
+def _text_groups(text: str) -> dict[int, list[list[int]]]:
+    """Each line's tie groups, read from a complete profile's canonical text."""
+    lines = (line.partition(": ") for line in text.splitlines()[1:])
+    return {int(head.split()[1]): [list(map(int, chunk.split())) for chunk in tail.split(" | ")]
+            for head, _, tail in lines}
+
+
+def test_a_strict_order_stores_no_span():
+    profile, _ = gen_narcissistic_sp(GeneratorConfig(400, seed=3))
+    parsed = parse_profile(serialize_profile(profile))
+    orders = [*profile.orders.values(), *parsed.orders.values(),
+              PreferenceOrder.from_groups(0, [[0], [2], [1]]),
+              PreferenceOrder.from_groups(0, [[0], [1, 2]]).without({1}),
+              PreferenceOrder(0, (0, 1), (0, 1)), PreferenceOrder(0, (), ())]
+    for order in orders:
+        assert order.ties == () and not order.has_tie
+        assert order.starts == range(len(order.members))
+
+
+def test_built_orders_equal_their_twin_from_groups_and_copies():
+    profile, _ = gen_narcissistic_sp(GeneratorConfig(400, True, 0.5, 3))
+    text = serialize_profile(profile)
+    raw = _text_groups(text)
+    parsed = parse_profile(text)
+    rng = random.Random(15)
+    cases = []
+    for i in profile.agents[::5]:
+        removed = set(rng.sample(range(400), 150))
+        kept = [[m for m in group if m not in removed] for group in raw[i]]
+        cases += [(profile.order(i), raw[i]), (parsed.order(i), raw[i]),
+                  (PreferenceOrder.from_groups(i, raw[i][::-1]), raw[i][::-1]),
+                  (parsed.order(i).without(removed), [group for group in kept if group])]
+    assert sum(order.has_tie for order, _ in cases) > 200
+    for order, groups in cases:
+        twin = PreferenceOrder.from_groups(order.owner, groups)
+        for copied in (order, pickle.loads(pickle.dumps(order)), copy.copy(order),
+                       copy.deepcopy(order)):
+            assert copied == twin and hash(copied) == hash(twin)
+            assert copied.ties == twin.ties
+            assert list(copied.group_slices()) == [tuple(sorted(g)) for g in groups]
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,7 @@ from oracles import (
     random_sc_profile,
     sc_by_definition,
     single_peaked_by_definition,
+    smallest_tssc_axis_by_definition,
     tssc_by_definition,
     worst_restricted_by_definition,
 )
@@ -721,6 +722,29 @@ def test_search_agrees_with_exhaustive_scan_on_small_profiles():
         )
         tssc_found = find_tssc_order(profile)
         assert (None if tssc_found is None else tssc_found.sequence) == tssc_expected
+
+
+def test_the_crossing_axis_search_returns_the_smallest_passing_permutation():
+    # find_tssc_order skips a (placed voters, run strings) state that has
+    # failed before; the axis it returns must still be the smallest one.
+    rng = random.Random(22)
+    outcomes = set()
+    for case in range(2000):
+        tied, complete = case % 2 == 0, case % 4 < 2
+        profile = random_profile(
+            rng, rng.randint(1, 7),
+            p_edge=1.0 if complete else rng.uniform(0.3, 0.9),
+            p_tie=rng.uniform(0.2, 0.6) if tied else 0.0,
+            include_self=rng.random() < 0.5,
+        )
+        expected = smallest_tssc_axis_by_definition(profile)
+        found = find_tssc_order(profile, max_agents=7)
+        assert (None if found is None else found.sequence) == expected, case
+        assert has_ties(profile) <= tied
+        outcomes.add((tied, complete, expected is None))
+    # Each of tied and strict, complete and incomplete, has profiles with
+    # an axis and profiles without one.
+    assert len(outcomes) == 8
 
 
 # ---------------------------------------------------------------------------
