@@ -140,11 +140,15 @@ class PreferenceOrder(_Record):
         self._store(owner, members, ties)
 
     @classmethod
-    def _from_ties(cls, owner: AgentId, members: tuple[AgentId, ...], ties: Sequence[int]):
+    def _from_ties(
+        cls, owner: AgentId, members: tuple[AgentId, ...], ties: Sequence[int]
+    ) -> "PreferenceOrder":
         """The order with these members and tie spans, taken as given."""
         return cls.__new__(cls)._store(owner, members, ties)
 
-    def _store(self, owner: AgentId, members: tuple[AgentId, ...], ties: Sequence[int]):
+    def _store(
+        self, owner: AgentId, members: tuple[AgentId, ...], ties: Sequence[int]
+    ) -> "PreferenceOrder":
         numbers = _ints(len(members) + 1)
         set_field = object.__setattr__
         set_field(self, "owner", owner)
@@ -254,14 +258,6 @@ def _rank_table(order: PreferenceOrder) -> dict[AgentId, int]:
         lo = end
     values += numbers[lo - extra:len(members) - extra]
     return dict(zip(members, values))
-
-
-def _ranks_once(order: PreferenceOrder) -> dict[AgentId, int]:
-    """``order.ranks`` if already read, else the same table, built and not kept."""
-    try:
-        return PreferenceOrder.ranks.__get__(order)  # the slot alone: builds nothing
-    except AttributeError:
-        return _rank_table(order)
 
 
 class Profile(_Record):

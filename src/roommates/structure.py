@@ -26,8 +26,7 @@ from itertools import combinations, groupby, pairwise, permutations
 from operator import add
 
 from .errors import BudgetExceeded, TieGroupTooLarge, TiesUnsupported, TooManyAgents
-from .model import (AgentId, PreferenceOrder, Profile, WitnessOrder, _group_starts, _Record,
-                    _ranks_once)
+from .model import AgentId, PreferenceOrder, Profile, WitnessOrder, _group_starts, _Record
 from .search import DEFAULT_SEARCH_BUDGET, depth_first
 
 OrderLike = "WitnessOrder | Sequence[AgentId]"
@@ -250,13 +249,12 @@ def _doubled_midranks(
     An agent in a tie group holding positions b .. b+s-1 gets 2b + s, so the
     values order agents as the voter does, ties equal.  That is the group's
     start plus the next group's: ``odd[g]`` = 2g + 1 in a strict order.
-    A rank table not yet built is not kept, so resolved orders hold none.
     """
     mids = odd
     if order.ties:
         starts = _group_starts(order)
         mids = list(map(add, starts, (*starts[1:], len(order.members))))
-    return list(map(mids.__getitem__, map(_ranks_once(order).__getitem__, index)))
+    return list(map(mids.__getitem__, map(order.ranks.__getitem__, index)))
 
 
 def _discord(
@@ -312,21 +310,20 @@ def _kendall_crossing_violation(
     pair iff sum_t D_x(v_t, v_t+1) > D_x(v_1, v_n) (see :func:`_discord`).  The
     smallest such x is the first coordinate of the smallest violating pair,
     and one pass over x's partners finds the second.  Voters are read one
-    at a time: beyond the last, only their keys are kept.
+    at a time: beyond the first and the last, only their keys are kept.
     """
     n = len(agents)
     index = {a: k for k, a in enumerate(agents)}
     odd = list(range(1, 2 * n, 2))
     voters = iter(voters)
-    last = next(voters)
-    keys = [_doubled_midranks(last, index, odd)]
+    first = last = next(voters)
+    keys = [_doubled_midranks(first, index, odd)]
     excess = [0] * n
     for order in voters:
         keys.append(_doubled_midranks(order, index, odd))
         excess = [e + d for e, d in zip(excess, _discord(last, index, keys[-2], keys[-1]))]
         last = order
-    # D is symmetric, so the last voter's groups give D(v_1, v_n) too.
-    excess = [e - d for e, d in zip(excess, _discord(last, index, keys[-1], keys[0]))]
+    excess = [e - d for e, d in zip(excess, _discord(first, index, keys[0], keys[-1]))]
     x = next((x for x, e in enumerate(excess) if e > 0), None)
     if x is None:
         return None
@@ -474,10 +471,10 @@ def _resolve_ties(voters: list[PreferenceOrder]) -> Iterator[PreferenceOrder]:
     """
     resolved = voters[-1]
     for order in reversed(voters):
-        resolved = _broken_by(order, _ranks_once(resolved))
+        resolved = _broken_by(order, resolved.ranks)
     yield resolved
     for order in voters[1:]:
-        resolved = _broken_by(order, _ranks_once(resolved))
+        resolved = _broken_by(order, resolved.ranks)
         yield resolved
 
 
