@@ -92,8 +92,7 @@ def greedy_solve(profile: Profile) -> tuple[Matching, SolveTrace]:
 
     def top(a: AgentId) -> tuple[AgentId, ...]:
         """a's best tie group holding a remaining agent, or () if none is left."""
-        order, lo = orders[a], best[a]
-        members, ties = order.members, order.ties
+        members, ties, lo = orders[a].members, orders[a].ties, best[a]
         while lo < len(members):
             # A group starts at lo; it is a tie exactly when a span starts there.
             k = bisect_right(ties, lo)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain
 
 from .errors import AsymmetricAcceptability, DuplicateInOrder
 
@@ -189,9 +189,16 @@ class PreferenceOrder(_Record):
 
     def group(self, g: int) -> tuple[AgentId, ...]:
         """Members of tie group ``g``, ascending."""
-        for group in islice(self.group_slices(), g, None):
-            return group
-        raise IndexError("tie group index out of range")
+        lo, ties = g, self.ties  # lo: g's offset, once each tie before it is counted
+        for start, end in zip(ties[::2], ties[1::2]):
+            if start >= lo:
+                if start == lo:
+                    return self.members[start:end]
+                break
+            lo += end - start - 1
+        if g < 0 or lo >= len(self.members):
+            raise IndexError("tie group index out of range")
+        return self.members[lo:lo + 1]
 
     def group_slices(self) -> Iterator[tuple[AgentId, ...]]:
         """Each tie group's members, ascending, best group first."""
@@ -227,8 +234,7 @@ class PreferenceOrder(_Record):
 def _group_starts(order: PreferenceOrder) -> Sequence[int]:
     """A new sequence of the offsets where the groups of ``order`` start.
 
-    Between two tie groups every group is a singleton, so there the offsets,
-    taken from :func:`_ints`, are a run of consecutive numbers: one slice each.
+    Between two ties they are consecutive numbers: one slice of :func:`_ints`.
     """
     size, ties = len(order.members), order.ties
     if not ties:

@@ -115,25 +115,28 @@ def is_single_peaked_wrt(profile: Profile, order: OrderLike) -> Verdict:
     any acceptable agent.  On failure the verdict carries the
     lexicographically first violating (agent, x, y, z).
 
-    An order passes exactly when each prefix of its groups is an interval
-    of its members along the axis: a member between two members of a prefix
-    but outside it is a valley.  With the members' positions numbered 0, 1,
-    ... along the axis, and each tie group sorted by distance from the first
-    member's number p0, the members before p0 must then come at p0 - 1,
-    p0 - 2, ..., 0 and those after it at p0 + 1, p0 + 2, ....  No rank
-    table is read or built.
+    An order passes exactly when its members' ranks along the axis never
+    rise up to the first best rank and never fall after it (the largest rank
+    between a rise and a later fall is a valley): one ``min`` and two sorted
+    comparisons, each a run that sorts in linear time.  A rank table kept by
+    an earlier check gives the ranks.  Without one none is built: once each
+    tie group is sorted by distance from the first member along the axis,
+    the members' indices pass this test exactly when the ranks do.
     """
     pos = _order_positions(profile, order)
     for i in sorted(profile.orders):
         voter = profile.orders[i]
-        at, ties = list(map(pos.__getitem__, voter.members)), voter.ties
-        if len(at) < len(pos):
-            at = list(map({p: k for k, p in enumerate(sorted(at))}.__getitem__, at))
-        p0 = at[0] if at else 0
-        for start, end in zip(ties[::2], ties[1::2]):
-            at[start:end] = sorted(at[start:end], key=lambda p: abs(p - p0))
-        if not ([p for p in at if p < p0] == list(range(p0 - 1, -1, -1))
-                and [p for p in at if p > p0] == list(range(p0 + 1, len(at)))):
+        try:
+            ranks = PreferenceOrder.ranks.__get__(voter)  # the slot alone: builds nothing
+            seq = list(map(ranks.__getitem__, pos if len(ranks) == len(pos)
+                           else sorted(ranks, key=pos.__getitem__)))
+        except AttributeError:
+            at, ties = list(map(pos.__getitem__, voter.members)), voter.ties
+            for start, end in zip(ties[::2], ties[1::2]):
+                at[start:end] = sorted(at[start:end], key=lambda p, p0=at[0]: abs(p - p0))
+            seq = sorted(range(len(at)), key=at.__getitem__)
+        peak = seq.index(min(seq)) if seq else 0
+        if seq[peak::-1] != sorted(seq[peak::-1]) or seq[peak:] != sorted(seq[peak:]):
             return Verdict(False, _first_valley_witness(voter, pos))
     return Verdict(True)
 
