@@ -149,11 +149,10 @@ class PreferenceOrder(_Record):
     def _store(
         self, owner: AgentId, members: tuple[AgentId, ...], ties: Sequence[int]
     ) -> "PreferenceOrder":
-        numbers = _ints(len(members) + 1)
         set_field = object.__setattr__
         set_field(self, "owner", owner)
         set_field(self, "members", members)
-        set_field(self, "ties", tuple([numbers[t] for t in ties]))
+        set_field(self, "ties", tuple(map(_ints(len(members) + 1).__getitem__, ties)))
         return self
 
     def __getattr__(self, name: str) -> object:

@@ -128,13 +128,14 @@ def is_single_peaked_wrt(profile: Profile, order: OrderLike) -> Verdict:
         voter = profile.orders[i]
         try:
             ranks = PreferenceOrder.ranks.__get__(voter)  # the slot alone: builds nothing
-            seq = list(map(ranks.__getitem__, pos if len(ranks) == len(pos)
-                           else sorted(ranks, key=pos.__getitem__)))
         except AttributeError:
             at, ties = list(map(pos.__getitem__, voter.members)), voter.ties
             for start, end in zip(ties[::2], ties[1::2]):
                 at[start:end] = sorted(at[start:end], key=lambda p, p0=at[0]: abs(p - p0))
             seq = sorted(range(len(at)), key=at.__getitem__)
+        else:
+            seq = list(map(ranks.__getitem__, pos if len(ranks) == len(pos)
+                           else sorted(ranks, key=pos.__getitem__)))
         peak = seq.index(min(seq)) if seq else 0
         if seq[peak::-1] != sorted(seq[peak::-1]) or seq[peak:] != sorted(seq[peak:]):
             return Verdict(False, _first_valley_witness(voter, pos))
