@@ -92,7 +92,8 @@ class _Record:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        pairs = zip(self._fields, self._values())
+        fields = ", ".join([f"{name}={value!r}" for name, value in pairs])
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -113,9 +114,10 @@ class PreferenceOrder(_Record):
     with two or more members: ``()`` when every group is a singleton.
     ``starts`` (the offset where each group begins: a ``range`` when every
     group is a singleton, else a tuple) and ``ranks`` (each member's group
-    index) are derived from those on first read and kept; ``starts`` stands
-    for the stored form in equality, hash, repr and pickling, and ``ranks``
-    takes no part in them.  ``groups`` is a view derived on each call.
+    index) are derived from those on first read and kept.  ``starts``
+    stands for the stored form in equality, hash, repr and pickling, which
+    build it afresh: comparing or copying an order fills neither slot.
+    ``groups`` is a view derived on each call.
 
     Build orders with :meth:`from_groups`.  The constructor takes the group
     offsets, as pickling passes them, and the library's builders call
@@ -162,6 +164,10 @@ class PreferenceOrder(_Record):
         value = _rank_table(self) if name == "ranks" else _group_starts(self)
         object.__setattr__(self, name, value)
         return value
+
+    def _values(self) -> tuple:
+        # Offsets built, not kept: comparing or copying an order fills no slot.
+        return self.owner, self.members, _group_starts(self)
 
     @classmethod
     def from_groups(cls, owner: AgentId, raw: RawOrder) -> "PreferenceOrder":

@@ -118,24 +118,18 @@ def is_single_peaked_wrt(profile: Profile, order: OrderLike) -> Verdict:
     An order passes exactly when its members' ranks along the axis never
     rise up to the first best rank and never fall after it (the largest rank
     between a rise and a later fall is a valley): one ``min`` and two sorted
-    comparisons, each a run that sorts in linear time.  A rank table kept by
-    an earlier check gives the ranks.  Without one none is built: once each
-    tie group is sorted by distance from the first member along the axis,
-    the members' indices pass this test exactly when the ranks do.
+    comparisons, each a run that sorts in linear time.  No rank table is
+    read or built: once each tie group is sorted by distance from the first
+    member along the axis, the members' indices pass this test exactly when
+    the ranks do.
     """
     pos = _order_positions(profile, order)
     for i in sorted(profile.orders):
         voter = profile.orders[i]
-        try:
-            ranks = PreferenceOrder.ranks.__get__(voter)  # the slot alone: builds nothing
-        except AttributeError:
-            at, ties = list(map(pos.__getitem__, voter.members)), voter.ties
-            for start, end in zip(ties[::2], ties[1::2]):
-                at[start:end] = sorted(at[start:end], key=lambda p, p0=at[0]: abs(p - p0))
-            seq = sorted(range(len(at)), key=at.__getitem__)
-        else:
-            seq = list(map(ranks.__getitem__, pos if len(ranks) == len(pos)
-                           else sorted(ranks, key=pos.__getitem__)))
+        at, ties = list(map(pos.__getitem__, voter.members)), voter.ties
+        for start, end in zip(ties[::2], ties[1::2]):
+            at[start:end] = sorted(at[start:end], key=lambda p, p0=at[0]: abs(p - p0))
+        seq = sorted(range(len(at)), key=at.__getitem__)
         peak = seq.index(min(seq)) if seq else 0
         if seq[peak::-1] != sorted(seq[peak::-1]) or seq[peak:] != sorted(seq[peak:]):
             return Verdict(False, _first_valley_witness(voter, pos))

@@ -221,9 +221,19 @@ def test_tied_orders_share_their_offsets_and_ranks():
 # The rank table, built on first read
 # ---------------------------------------------------------------------------
 
-def _has_table(order: PreferenceOrder, slot: str = "ranks") -> bool:
-    """Whether ``order`` holds its rank table (or the derived ``slot``), read
-    without building it."""
+def _has_table(order: PreferenceOrder) -> bool:
+    """Whether ``order`` holds its rank table, read without building it."""
+    return _holds(order, "ranks")
+
+
+def _holds_derived(order: PreferenceOrder) -> bool:
+    """Whether ``order`` fills any slot beyond its members and tie spans."""
+    return any(_holds(order, slot) for slot in PreferenceOrder.__slots__
+               if slot not in ("owner", "members", "ties"))
+
+
+def _holds(order: PreferenceOrder, slot: str) -> bool:
+    """Whether the slot ``slot`` of ``order`` is filled, read without building it."""
     try:
         getattr(PreferenceOrder, slot).__get__(order)
     except AttributeError:
@@ -306,7 +316,7 @@ def test_built_orders_take_their_offsets_from_the_shared_ints(monkeypatch):
             patch.setattr(model, "_rank_table", spy(model._rank_table))
             parsed = parse_profile(text)
         assert calls == []
-        assert not any(_has_table(order, "starts") for order in parsed.orders.values())
+        assert not any(map(_holds_derived, parsed.orders.values()))
         assert parsed == profile
         for order in profile.orders.values():
             built += [order, parsed.order(order.owner),
@@ -359,9 +369,12 @@ def test_built_orders_equal_their_twin_from_groups_and_copies():
         twin = PreferenceOrder.from_groups(order.owner, groups)
         for copied in (order, pickle.loads(pickle.dumps(order)), copy.copy(order),
                        copy.deepcopy(order)):
-            assert copied == twin and hash(copied) == hash(twin)
+            assert copied == twin and hash(copied) == hash(twin) and repr(copied) == repr(twin)
             assert copied.ties == twin.ties
             assert list(copied.group_slices()) == [tuple(sorted(g)) for g in groups]
+        # Equality, hash, repr and pickling read the derived offsets: none
+        # may leave them, or anything else derived, on the order.
+        assert not _holds_derived(order) and not _holds_derived(twin)
 
 
 # ---------------------------------------------------------------------------
