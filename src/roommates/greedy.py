@@ -63,8 +63,7 @@ def _check_preconditions(profile: Profile) -> None:
         if len(members) + (i not in members) != n:
             raise NotComplete(i)
     for i in profile.agents:
-        order = profile.orders[i]
-        if not order.members or order.group(0) != (i,):
+        if next(profile.orders[i].group_slices(), None) != (i,):
             raise NotNarcissistic(i)
 
 

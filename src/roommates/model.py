@@ -5,9 +5,9 @@ Agents are plain non-negative ints.  A preference order ranks the agents
 its owner finds acceptable in tie groups, best group first; an agent may
 list itself.  It is stored flat: the members in rank order (ascending
 inside a tie group) and the start and end of each tie group, so an order
-without ties stores no span.  Group offsets and a rank table are built
-from those on their first read, and the frozenset ``groups`` are a view
-derived on request.  A profile bundles one order per agent, and its
+without ties stores no span.  Group offsets, a rank table and the
+frozenset ``groups`` are derived from those on each read, and kept by
+no order.  A profile bundles one order per agent, and its
 constructor is the one validity check: acceptability is symmetric and no
 order names an agent twice.  Nothing more is required, so an agent may
 rank nobody and the number of agents may be odd.
@@ -113,11 +113,10 @@ class PreferenceOrder(_Record):
     tie group, and ``ties`` the start and end in ``members`` of each group
     with two or more members: ``()`` when every group is a singleton.
     ``starts`` (the offset where each group begins: a ``range`` when every
-    group is a singleton, else a tuple) and ``ranks`` (each member's group
-    index) are derived from those on first read and kept.  ``starts``
-    stands for the stored form in equality, hash, repr and pickling, which
-    build it afresh: comparing or copying an order fills neither slot.
-    ``groups`` is a view derived on each call.
+    group is a singleton, else a tuple), ``ranks`` (each member's group
+    index) and ``groups`` are derived from those on each read, so a reader
+    that needs one more than once holds it.  ``starts`` stands for the
+    stored form in equality, hash, repr and pickling.
 
     Build orders with :meth:`from_groups`.  The constructor takes the group
     offsets, as pickling passes them, and the library's builders call
@@ -127,14 +126,12 @@ class PreferenceOrder(_Record):
     span ints from :func:`_ints`, so every order shares the same objects.
     """
 
-    __slots__ = ("owner", "members", "ties", "starts", "ranks")
+    __slots__ = ("owner", "members", "ties")
     _fields = ("owner", "members", "starts")
 
     owner: AgentId
     members: tuple[AgentId, ...]
     ties: tuple[int, ...]
-    starts: Sequence[int]
-    ranks: dict[AgentId, int]
 
     def __init__(self, owner: AgentId, members: tuple[AgentId, ...], starts: Sequence[int]):
         ends = (*starts[1:], len(members))
@@ -157,17 +154,13 @@ class PreferenceOrder(_Record):
         set_field(self, "ties", tuple(map(_ints(len(members) + 1).__getitem__, ties)))
         return self
 
-    def __getattr__(self, name: str) -> object:
-        # Called only while a derived slot is empty: build it on first read.
-        if name not in ("ranks", "starts"):
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        value = _rank_table(self) if name == "ranks" else _group_starts(self)
-        object.__setattr__(self, name, value)
-        return value
+    @property
+    def starts(self) -> Sequence[int]:
+        return _group_starts(self)
 
-    def _values(self) -> tuple:
-        # Offsets built, not kept: comparing or copying an order fills no slot.
-        return self.owner, self.members, _group_starts(self)
+    @property
+    def ranks(self) -> dict[AgentId, int]:
+        return _rank_table(self)
 
     @classmethod
     def from_groups(cls, owner: AgentId, raw: RawOrder) -> "PreferenceOrder":
@@ -191,19 +184,6 @@ class PreferenceOrder(_Record):
                 ties += (len(members), len(members) + len(group))
             members += group
         return cls._from_ties(owner, tuple(members), ties)
-
-    def group(self, g: int) -> tuple[AgentId, ...]:
-        """Members of tie group ``g``, ascending."""
-        lo, ties = g, self.ties  # lo: g's offset, once each tie before it is counted
-        for start, end in zip(ties[::2], ties[1::2]):
-            if start >= lo:
-                if start == lo:
-                    return self.members[start:end]
-                break
-            lo += end - start - 1
-        if g < 0 or lo >= len(self.members):
-            raise IndexError("tie group index out of range")
-        return self.members[lo:lo + 1]
 
     def group_slices(self) -> Iterator[tuple[AgentId, ...]]:
         """Each tie group's members, ascending, best group first."""

@@ -39,7 +39,7 @@ from bisect import bisect_right
 from enum import Enum
 from operator import itemgetter
 
-from .model import AgentId, Matching, Profile, _group_starts, _Record
+from .model import AgentId, Matching, Profile, _Record
 from .search import DEFAULT_SEARCH_BUDGET, depth_first
 
 
@@ -154,9 +154,9 @@ class _StableSearch:
                 map(index.__getitem__, others),
                 map(itemgetter(a), map(ranks_of.__getitem__, others)),
             )))
-            starts = [*_group_starts(order), len(order.members)]
-            if a in order.ranks:  # the owner's own entry is not a neighbor
-                own = order.ranks[a]
+            starts = [*order.starts, len(order.members)]
+            if a in ranks_of[a]:  # the owner's own entry is not a neighbor
+                own = ranks_of[a][a]
                 starts[own + 1:] = [s - 1 for s in starts[own + 1:]]
             self.below.append([*starts, starts[-1]])
         # pair[i][q] for q > i: the one (agent i, agent q) tuple that every

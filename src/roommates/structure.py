@@ -26,7 +26,7 @@ from itertools import combinations, groupby, pairwise, permutations
 from operator import add
 
 from .errors import BudgetExceeded, TieGroupTooLarge, TiesUnsupported, TooManyAgents
-from .model import AgentId, PreferenceOrder, Profile, WitnessOrder, _group_starts, _Record
+from .model import AgentId, PreferenceOrder, Profile, WitnessOrder, _Record
 from .search import DEFAULT_SEARCH_BUDGET, depth_first
 
 OrderLike = "WitnessOrder | Sequence[AgentId]"
@@ -97,7 +97,7 @@ def is_narcissistic(profile: Profile) -> bool:
     and neither does one that merely ties itself with its favorite.
     """
     return all(
-        order.members and order.group(0) == (i,)
+        next(order.group_slices(), None) == (i,)
         for i, order in profile.orders.items()
     )
 
@@ -250,7 +250,7 @@ def _doubled_midranks(
     """
     mids = odd
     if order.ties:
-        starts = _group_starts(order)
+        starts = order.starts
         mids = list(map(add, starts, (*starts[1:], len(order.members))))
     return list(map(mids.__getitem__, map(order.ranks.__getitem__, index)))
 
@@ -278,7 +278,7 @@ def _discord(
     out = [a + b for a, b in zip(ku, kv)]
     passed: list[int] = []
     members = order.members
-    for lo, hi in pairwise((*_group_starts(order), len(members))):
+    for lo, hi in pairwise((*order.starts, len(members))):
         if hi - lo == 1:
             x = index[members[lo]]
             k = kv[x]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import pickle
 import random
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -218,27 +219,24 @@ def test_tied_orders_share_their_offsets_and_ranks():
 
 
 # ---------------------------------------------------------------------------
-# The rank table, built on first read
+# The rank table, derived on each read
 # ---------------------------------------------------------------------------
 
-def _has_table(order: PreferenceOrder) -> bool:
-    """Whether ``order`` holds its rank table, read without building it."""
-    return _holds(order, "ranks")
+@contextmanager
+def _derivations(monkeypatch, *names):
+    """The owner of each order the named ``model`` derivations are called on."""
+    calls = []
 
+    def spy(derive):
+        def spied(order):
+            calls.append(order.owner)
+            return derive(order)
+        return spied
 
-def _holds_derived(order: PreferenceOrder) -> bool:
-    """Whether ``order`` fills any slot beyond its members and tie spans."""
-    return any(_holds(order, slot) for slot in PreferenceOrder.__slots__
-               if slot not in ("owner", "members", "ties"))
-
-
-def _holds(order: PreferenceOrder, slot: str) -> bool:
-    """Whether the slot ``slot`` of ``order`` is filled, read without building it."""
-    try:
-        getattr(PreferenceOrder, slot).__get__(order)
-    except AttributeError:
-        return False
-    return True
+    with monkeypatch.context() as patch:
+        for name in names:
+            patch.setattr(model, name, spy(getattr(model, name)))
+        yield calls
 
 
 def _first_read_gives(order: PreferenceOrder, groups: list[list[int]]) -> None:
@@ -246,7 +244,6 @@ def _first_read_gives(order: PreferenceOrder, groups: list[list[int]]) -> None:
     assert ranks == {m: g for g, group in enumerate(groups) for m in group}
     shared = model._ints(len(order.members))
     assert all(r is shared[r] for r in ranks.values())
-    assert order.ranks is ranks
 
 
 def test_the_rank_table_read_first_after_any_construction_is_right():
@@ -273,25 +270,26 @@ def test_the_rank_table_is_not_pickled():
     assert [pickle.dumps(order, protocol) for protocol in (0, pickle.HIGHEST_PROTOCOL)] == before
 
 
-def test_generating_a_profile_builds_no_rank_table():
-    profile, _ = gen_narcissistic_sp(GeneratorConfig(200, True, 0.5, 3))
-    assert not any(map(_has_table, profile.orders.values()))
+def test_generating_a_profile_builds_no_rank_table(monkeypatch):
+    with _derivations(monkeypatch, "_rank_table") as calls:
+        gen_narcissistic_sp(GeneratorConfig(200, True, 0.5, 3))
+    assert calls == []
 
 
-def test_parsing_solving_and_verifying_build_no_rank_table():
+def test_parsing_solving_and_verifying_build_no_rank_table(monkeypatch):
     profile, _ = gen_narcissistic_sp(GeneratorConfig(200, True, 0.5, 3))
-    parsed = parse_profile(serialize_profile(profile))
-    matching, _ = greedy_solve(parsed)
-    assert find_blocking_pairs(parsed, matching) == []
-    assert not any(map(_has_table, parsed.orders.values()))
-    # Incomplete: the pair 0-1, unmatched here, deleted from both orders.
-    assert matching.partner(0) != 1
-    orders = dict(profile.orders)
-    orders[0], orders[1] = orders[0].without({1}), orders[1].without({0})
-    cut = Profile(orders)
-    parsed = parse_profile(serialize_profile(cut))
-    assert find_blocking_pairs(parsed, matching) == find_blocking_pairs(cut, matching)
-    assert not any(map(_has_table, [*cut.orders.values(), *parsed.orders.values()]))
+    with _derivations(monkeypatch, "_rank_table", "_group_starts") as calls:
+        parsed = parse_profile(serialize_profile(profile))
+        matching, _ = greedy_solve(parsed)
+        assert find_blocking_pairs(parsed, matching) == []
+        # Incomplete: the pair 0-1, unmatched here, deleted from both orders.
+        assert matching.partner(0) != 1
+        orders = dict(profile.orders)
+        orders[0], orders[1] = orders[0].without({1}), orders[1].without({0})
+        cut = Profile(orders)
+        parsed = parse_profile(serialize_profile(cut))
+        assert find_blocking_pairs(parsed, matching) == find_blocking_pairs(cut, matching)
+    assert calls == []
 
 
 def test_built_orders_take_their_offsets_from_the_shared_ints(monkeypatch):
@@ -299,24 +297,13 @@ def test_built_orders_take_their_offsets_from_the_shared_ints(monkeypatch):
     # from model._ints, and parsing derives neither the group offsets nor
     # a rank table from them.  Python caches ints up to 256, so the sharing
     # is checked on orders longer than that.
-    calls = []
-
-    def spy(derive):
-        def spied(order):
-            calls.append(order.owner)
-            return derive(order)
-        return spied
-
     built = []
     for n in (200, 400):
         profile, _ = gen_narcissistic_sp(GeneratorConfig(n, True, 0.5, 3))
         text = serialize_profile(profile)
-        with monkeypatch.context() as patch:
-            patch.setattr(model, "_group_starts", spy(model._group_starts))
-            patch.setattr(model, "_rank_table", spy(model._rank_table))
+        with _derivations(monkeypatch, "_rank_table", "_group_starts") as calls:
             parsed = parse_profile(text)
         assert calls == []
-        assert not any(map(_holds_derived, parsed.orders.values()))
         assert parsed == profile
         for order in profile.orders.values():
             built += [order, parsed.order(order.owner),
@@ -351,7 +338,7 @@ def test_a_strict_order_stores_no_span():
         assert order.starts == range(len(order.members))
 
 
-def test_built_orders_equal_their_twin_from_groups_and_copies():
+def test_built_orders_equal_their_twin_from_groups_and_copies(monkeypatch):
     profile, _ = gen_narcissistic_sp(GeneratorConfig(400, True, 0.5, 3))
     text = serialize_profile(profile)
     raw = _text_groups(text)
@@ -365,16 +352,18 @@ def test_built_orders_equal_their_twin_from_groups_and_copies():
                   (PreferenceOrder.from_groups(i, raw[i][::-1]), raw[i][::-1]),
                   (parsed.order(i).without(removed), [group for group in kept if group])]
     assert sum(order.has_tie for order, _ in cases) > 200
-    for order, groups in cases:
-        twin = PreferenceOrder.from_groups(order.owner, groups)
-        for copied in (order, pickle.loads(pickle.dumps(order)), copy.copy(order),
-                       copy.deepcopy(order)):
-            assert copied == twin and hash(copied) == hash(twin) and repr(copied) == repr(twin)
-            assert copied.ties == twin.ties
-            assert list(copied.group_slices()) == [tuple(sorted(g)) for g in groups]
-        # Equality, hash, repr and pickling read the derived offsets: none
-        # may leave them, or anything else derived, on the order.
-        assert not _holds_derived(order) and not _holds_derived(twin)
+    # Equality, hash, repr and pickling read the derived offsets, but
+    # none of them may build a rank table.
+    with _derivations(monkeypatch, "_rank_table") as calls:
+        for order, groups in cases:
+            twin = PreferenceOrder.from_groups(order.owner, groups)
+            for copied in (order, pickle.loads(pickle.dumps(order)), copy.copy(order),
+                           copy.deepcopy(order)):
+                assert copied == twin and hash(copied) == hash(twin)
+                assert repr(copied) == repr(twin)
+                assert copied.ties == twin.ties
+                assert list(copied.group_slices()) == [tuple(sorted(g)) for g in groups]
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -579,12 +568,13 @@ def test_records_compare_and_hash_by_their_fields(name):
         assert len({first, second, other}) == 2
 
 
-def test_an_orders_ranks_take_no_part_in_equality_or_hash():
+def test_an_orders_ranks_take_no_part_in_equality_or_hash(monkeypatch):
     first = PreferenceOrder.from_groups(0, [[0], [1, 2]])
     second = PreferenceOrder.from_groups(0, [[0], [1, 2]])
-    object.__setattr__(second, "ranks", {})
-    assert first == second and hash(first) == hash(second)
-    assert "ranks" not in repr(first)
+    with _derivations(monkeypatch, "_rank_table") as calls:
+        assert first == second and hash(first) == hash(second)
+        assert "ranks" not in repr(first)
+    assert calls == []
 
 
 def test_records_print_as_their_fields():
@@ -619,7 +609,10 @@ def test_record_fields_can_be_neither_assigned_nor_deleted(name):
             setattr(value, field, before)
         with pytest.raises(AttributeError):
             delattr(value, field)
-        assert getattr(value, field) is before
+        if (name, field) == ("PreferenceOrder", "starts"):  # derived on each read
+            assert getattr(value, field) == before
+        else:
+            assert getattr(value, field) is before
 
 
 @pytest.mark.parametrize("name", RECORDS)

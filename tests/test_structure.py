@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -202,8 +204,6 @@ def test_tssc_matches_the_definition_on_random_profiles():
 
 def _peak_bytes(check, profile, axis):
     """``check(profile, axis)`` and its tracemalloc peak."""
-    for order in profile.orders.values():
-        order.ranks  # warm the cached rank tables outside the trace
     # CPython reuses up to 2000 freed 2-tuples without calling the
     # allocator, so tracemalloc would miss a varying share of the pair
     # keys.  Holding more than that many keeps every pair key counted.
@@ -262,6 +262,28 @@ def test_resolving_ties_keeps_no_table_per_voter():
     crossing, peak = _peak_bytes(is_sc_wrt, profile, order)
     assert not tssc.ok and has_ties(profile) and crossing is False
     assert peak <= tssc_peak
+
+
+def test_a_property_report_leaves_no_table_on_the_voters():
+    # On a tied swapped axis the report reads every voter's rank table in
+    # the single-peaked, tssc and crossing checks.  What it leaves behind,
+    # measured with no collection pending, must stay below five tables of
+    # n entries; one per voter would be n of them.
+    profile, axis = _sp_profile(200)
+    order = _adjacent_swap(axis, 100)
+    table = sys.getsizeof(dict.fromkeys(range(200)))
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = property_report(profile, order)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert report.tssc.ok is False and report.single_crossing is False
+    assert kept < 5 * table
 
 
 def test_tssc_scan_memory_grows_with_the_pairs_on_incomplete_profiles():
@@ -346,8 +368,8 @@ def test_discord_matches_the_definition_on_tied_order_pairs():
         u = _random_grouped_order(rng, agents[0], agents)
         v = _random_grouped_order(rng, agents[-1], agents)
         last = len(u.starts) - 1
-        for g in range(last + 1):
-            if len(u.group(g)) > 1:
+        for g, group in enumerate(u.group_slices()):
+            if len(group) > 1:
                 tied_at["start" if g == 0 else "end" if g == last else "middle"] += 1
         index = {a: k for k, a in enumerate(agents)}
         odd = list(range(1, 2 * len(agents), 2))
